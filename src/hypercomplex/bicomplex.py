@@ -31,6 +31,7 @@ from typing import NamedTuple
 from .scalars import (
     HALF,
     abs_sq,
+    binary_power,
     format_scalar,
     is_exact,
     make_complex,
@@ -122,13 +123,7 @@ class Bicomplex:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out, base = ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, ONE)
 
     # -- Segre split ----------------------------------------------------
 

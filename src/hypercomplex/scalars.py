@@ -35,6 +35,23 @@ def is_exact(value) -> bool:
 HALF = Fraction(1, 2)  # Fraction * float -> float, so this is backend-neutral
 
 
+def binary_power(base, n: int, one):
+    """``one * base**n`` by square-and-multiply, for an integer n >= 0.
+
+    Takes one product per set bit of n and one squaring per bit below the
+    top one, so ``base**2`` costs two products (``one * base``, then the
+    square) and ``base**0`` none.
+    """
+    out = one
+    while True:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
 @dataclass(frozen=True)
 class RationalComplex:
     """Complex number with exact rational real and imaginary parts."""
@@ -108,14 +125,7 @@ class RationalComplex:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are exact")
-        out = RationalComplex(Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, RationalComplex(Fraction(1)))
 
     def __eq__(self, other):
         if isinstance(other, RationalComplex):

@@ -8,6 +8,8 @@ elimination -- and never calls the code paths under test.
 
 from fractions import Fraction
 
+from hypercomplex.scalars import RationalComplex
+
 
 def cadd(a, b):
     return (a[0] + b[0], a[1] + b[1])
@@ -58,6 +60,92 @@ def commuting_word_product(s_mask: int, t_mask: int, n: int):
             mask |= 1 << word[idx]
             idx += 1
     return sign, mask
+
+
+def subset_rule_product(a, b, n: int):
+    """Product of two order-n multicomplex coefficient lists, term by term.
+
+    Each pair of nonzero coefficients contributes sign * x * y at the subset
+    that :func:`commuting_word_product` reduces e_S * e_T to, added in the
+    order s, then t.  That is the arithmetic of the direct element product,
+    float bits included: (-x) * y is -(x * y) exactly.
+    """
+    out = [0] * (1 << n)
+    for s, x in enumerate(a):
+        if not x:
+            continue
+        for t, y in enumerate(b):
+            if not y:
+                continue
+            sign, mask = commuting_word_product(s, t, n)
+            out[mask] = out[mask] + sign * x * y
+    return out
+
+
+_POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def multicomplex_character(coeffs, signs):
+    """sum_S c_S * prod_{k in S} (signs[k] * i) as an exact (re, im) pair:
+    the literal substitution i_{k+1} -> signs[k] * i."""
+    total = (Fraction(0), Fraction(0))
+    for mask, c in enumerate(coeffs):
+        sign, count = 1, 0
+        for k, s in enumerate(signs):
+            if (mask >> k) & 1:
+                sign, count = sign * s, count + 1
+        re, im = _POWERS_OF_I[count % 4]
+        total = cadd(total, (Fraction(c) * sign * re, Fraction(c) * sign * im))
+    return total
+
+
+# The recursive idempotent split and its inverse as element arithmetic, the
+# way the package computed them before the butterfly: a = x + i1*y maps to
+# (x + i2*y, x - i2*y), recursively, and back through (zp + zm) * 1/2 and
+# -(i2 * (zp - zm)) * 1/2.  Kept as the reference for float bits, signed
+# zeros included.
+
+_HALF = Fraction(1, 2)
+
+
+def _complex_like_the_package(re, im):
+    if isinstance(re, float) or isinstance(im, float):
+        return complex(re, im)
+    return RationalComplex(Fraction(re), Fraction(im))
+
+
+def _first_unit(n: int):
+    unit = [0] * (1 << n)
+    unit[1] = 1
+    return unit
+
+
+def recursive_split(coeffs, n: int):
+    if n == 1:
+        return (_complex_like_the_package(coeffs[0], coeffs[1]),)
+    x, y = list(coeffs[0::2]), list(coeffs[1::2])
+    uy = subset_rule_product(_first_unit(n - 1), y, n - 1)
+    plus = [a + b for a, b in zip(x, uy)]
+    minus = [a + (-b) for a, b in zip(x, uy)]
+    return recursive_split(plus, n - 1) + recursive_split(minus, n - 1)
+
+
+def recursive_unsplit(values, n: int):
+    if n == 1:
+        (z,) = values
+        return [z.real, z.imag]
+    half = len(values) // 2
+    zp = recursive_unsplit(values[:half], n - 1)
+    zm = recursive_unsplit(values[half:], n - 1)
+    scalar_half = [_HALF] + [0] * ((1 << (n - 1)) - 1)
+    x = subset_rule_product([a + b for a, b in zip(zp, zm)], scalar_half, n - 1)
+    diff = [a + (-b) for a, b in zip(zp, zm)]
+    u_diff = subset_rule_product(_first_unit(n - 1), diff, n - 1)
+    y = subset_rule_product([-c for c in u_diff], scalar_half, n - 1)
+    out = [0] * (1 << n)
+    out[0::2] = x
+    out[1::2] = y
+    return out
 
 
 def det_gauss(matrix):

@@ -65,6 +65,12 @@ class TestMc:
         assert len(payload["components"]) == 4
         assert all(c == {"re": "1", "im": "0"} for c in payload["components"])
 
+    def test_split_of_signed_zeros_prints_unsigned_zero_parts(self):
+        # -0.0 + 0 is 0.0: a zero imaginary part prints as 0, not -0
+        assert run("mc", "--order", "2", "split", "0,-0.0,-0.0,1.5") == (
+            0, "(-1.5,0)\n(1.5,0)\n", "",
+        )
+
     def test_wrong_coefficient_count_exits_two(self):
         code, _, _ = run("mc", "--order", "2", "mul", "1,2", "3,4")
         assert code == 2

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,14 @@ from hypercomplex.bicomplex import Bicomplex
 from hypercomplex.multicomplex import Multicomplex, OrderMismatch, ZeroInput
 from hypercomplex.scalars import RationalComplex
 
-from oracles import commuting_word_product
+from oracles import (
+    cmul,
+    commuting_word_product,
+    multicomplex_character,
+    recursive_split,
+    recursive_unsplit,
+    subset_rule_product,
+)
 from strategies import multicomplexes
 
 
@@ -62,6 +71,123 @@ class TestMultiplication:
     def test_commutative_associative(self, a, b, c):
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
+
+
+def seeded_element(rng, order, kind):
+    """Dense Fractions, small ints, a few nonzero Fractions, or a scalar or
+    unit multiple."""
+    size = 1 << order
+    if kind == "fraction":
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
+    elif kind == "int":
+        coeffs = [rng.randint(-6, 6) for _ in range(size)]
+    else:
+        coeffs = [0] * size
+        positions = rng.sample(range(size), 3 if kind == "sparse" else 1)
+        if kind == "scalar":
+            positions = [0]
+        for pos in positions:
+            coeffs[pos] = Fraction(rng.randint(1, 9), rng.randint(1, 5)) * rng.choice((-1, 1))
+    return Multicomplex(order, tuple(coeffs))
+
+
+KINDS = ("fraction", "int", "sparse", "scalar", "unit")
+
+
+class TestProductAgainstSubsetRule:
+    """Exact products and powers, whichever route they take, against the
+    term-by-term product of the oracle."""
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 6])
+    def test_products_match_the_oracle(self, order):
+        rng = random.Random(1000 + order)
+        for kind_a in KINDS:
+            for kind_b in ("fraction", "int", "sparse"):
+                a = seeded_element(rng, order, kind_a)
+                b = seeded_element(rng, order, kind_b)
+                want = Multicomplex(order, subset_rule_product(a.coeffs, b.coeffs, order))
+                for got in (a * b, b * a):
+                    assert got == want
+                    assert str(got) == str(want)
+                    assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_powers_match_repeated_oracle_products(self, order):
+        rng = random.Random(2000 + order)
+        for kind in ("fraction", "int", "sparse", "unit"):
+            a = seeded_element(rng, order, kind)
+            want = [1] + [0] * ((1 << order) - 1)
+            for k in range(6):
+                got = a**k
+                assert got == Multicomplex(order, want)
+                assert str(got) == str(Multicomplex(order, want))
+                want = subset_rule_product(want, a.coeffs, order)
+
+    def test_order_ten_product_and_power_by_substitution(self):
+        rng = random.Random(10)
+        a = seeded_element(rng, 10, "fraction")
+        b = seeded_element(rng, 10, "fraction")
+        product, cube = a * b, a**3
+        for _ in range(3):
+            signs = [rng.choice((-1, 1)) for _ in range(10)]
+            chi_a = multicomplex_character(a.coeffs, signs)
+            chi_b = multicomplex_character(b.coeffs, signs)
+            assert multicomplex_character(product.coeffs, signs) == cmul(chi_a, chi_b)
+            assert multicomplex_character(cube.coeffs, signs) == cmul(chi_a, cmul(chi_a, chi_a))
+
+
+class TestFloatBits:
+    """The butterfly against the recursive split it replaced, repr for repr,
+    on elements mixing floats, signed zeros, ints and Fractions."""
+
+    @staticmethod
+    def mixed(rng, size):
+        pool = (0, 0.0, -0.0, 3, Fraction(-2, 3), 0.25, -1.5)
+        return tuple(
+            rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-2.0, 2.0)
+            for _ in range(size)
+        )
+
+    @staticmethod
+    def check(rng, coeffs, order):
+        values = recursive_split(coeffs, order)
+        assert repr(Multicomplex(order, coeffs).split()) == repr(values)
+        for comps in (values, TestFloatBits.complex_values(rng, order)):
+            got = Multicomplex.unsplit(comps, order).coeffs
+            want = tuple(recursive_unsplit(comps, order))
+            if Multicomplex(order, want).is_exact():
+                assert got == want
+            else:
+                assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_split_and_unsplit_match_the_recursive_reference(self, order):
+        rng = random.Random(3000 + order)
+        for _ in range(40):
+            self.check(rng, self.mixed(rng, 1 << order), order)
+
+    def test_every_order_two_element_over_signed_zeros(self):
+        rng = random.Random(3010)
+        pool = (0, 0.0, -0.0, Fraction(1, 2), 1.5)
+        for coeffs in itertools.product(pool, repeat=4):
+            self.check(rng, coeffs, 2)
+
+    @staticmethod
+    def complex_values(rng, order):
+        pool = (0.0, -0.0, 1.0, -0.5, 5e-324, -5e-324)  # halving 5e-324 underflows
+        return tuple(
+            complex(rng.choice(pool), rng.choice(pool)) if rng.random() < 0.5
+            else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for _ in range(1 << (order - 1))
+        )
+
+    def test_float_products_keep_the_direct_sum(self):
+        rng = random.Random(3100)
+        for order in (3, 4, 5):
+            a = Multicomplex(order, self.mixed(rng, 1 << order))
+            b = Multicomplex(order, self.mixed(rng, 1 << order))
+            want = subset_rule_product(a.coeffs, b.coeffs, order)
+            assert repr((a * b).coeffs) == repr(tuple(want))
 
 
 class TestSplit:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypercomplex.bicomplex import Bicomplex
+from hypercomplex.multicomplex import Multicomplex
 from hypercomplex.scalars import (
     RationalComplex,
     abs_sq,
@@ -113,3 +115,37 @@ class TestText:
         assert format_scalar(Fraction(1, 2)) == "1/2"
         assert format_scalar(Fraction(4, 2)) == "2"
         assert format_scalar(7) == "7"
+
+
+class TestPowerProductCount:
+    """a**k takes one product per set bit of k and one squaring per bit
+    below the top one: no squaring after the last bit.  The float element
+    has dyadic coefficients, so its products are exact in any order."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            RationalComplex(Fraction(1, 2), Fraction(-2, 3)),
+            Bicomplex(Fraction(1, 2), 2, -1, Fraction(3, 4)),
+            Multicomplex(3, (0.5, -1.0, 0.25, 2.0, 0.0, -0.75, 1.5, 1.0)),
+            Multicomplex(2, (Fraction(1, 2), 2, -1, Fraction(3, 4))),
+        ],
+    )
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3), (5, 4), (6, 4)])
+    def test_products_per_power(self, monkeypatch, value, k, products):
+        cls = type(value)
+        expected = cls.__pow__(value, 1)
+        for _ in range(k - 1):
+            expected = expected * value
+        calls = []
+        mul = cls.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting_mul)
+        got = value**k
+        assert len(calls) == products
+        if k:
+            assert got == expected
