@@ -31,16 +31,15 @@ and one division by d * 2**(n-1) give the result, so the product costs
 O(n * 2**n) instead of O(4**n).  Float products, order 2 and sparse
 operands (a scalar or a unit times an element) keep the direct sum over
 the subset rule, which costs one term per pair of nonzero coefficients and
-leaves float results bit for bit as they were.
+leaves float results bit for bit as they were; a plain number scales the
+coefficients, one term each.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from .bicomplex import Bicomplex
 from .scalars import (
     HALF,
@@ -133,33 +132,38 @@ class Multicomplex:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_order(other)
         n = self.order
-        size = 1 << n
+        if not isinstance(other, Multicomplex):
+            if not _is_scalar(other):
+                return NotImplemented
+            # The direct sum below with Multicomplex.scalar(n, other), one
+            # term per nonzero coefficient.
+            if not other:
+                return Multicomplex.scalar(n, 0)
+            return _element(n, tuple([0 + a * other if a else 0 for a in self.coeffs]))
+        self._check_order(other)
         a_coeffs, b_coeffs = self.coeffs, other.coeffs
-        nonzero_a = list(compress(range(size), a_coeffs))
-        nonzero_b = list(compress(range(size), b_coeffs))
-        if _spectral_is_cheaper(self, other, len(nonzero_a) * len(nonzero_b)):
+        if n > 2 and _spectral_is_cheaper(a_coeffs, b_coeffs, n):
             da, u = _integer_spectrum(a_coeffs, n)
             db, v = _integer_spectrum(b_coeffs, n)
-            top = size >> 1
+            top = 1 << (n - 1)
             for s in range(top):
                 ar, ai, br, bi = u[s], u[s + top], v[s], v[s + top]
                 u[s] = ar * br - ai * bi
                 u[s + top] = ar * bi + ai * br
-            return Multicomplex(n, _from_integer_spectrum(u, n, da * db))
-        out = [0] * size
-        for s in nonzero_a:
-            a = a_coeffs[s]
-            for t in nonzero_b:
-                term = a * b_coeffs[t]
+            return _element(n, _from_integer_spectrum(u, n, da * db))
+        out = [0] * (1 << n)
+        for s, a in enumerate(a_coeffs):
+            if not a:
+                continue
+            for t, b in enumerate(b_coeffs):
+                if not b:
+                    continue
+                term = a * b
                 if (s & t).bit_count() & 1:
                     term = -term
                 out[s ^ t] = out[s ^ t] + term
-        return Multicomplex(n, tuple(out))
+        return _element(n, tuple(out))
 
     __rmul__ = __mul__
 
@@ -167,7 +171,7 @@ class Multicomplex:
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
         n = self.order
-        if k < 2 or not _spectral_is_cheaper(self, self, sum(map(bool, self.coeffs)) ** 2):
+        if k < 2 or n < 3 or not _spectral_is_cheaper(self.coeffs, self.coeffs, n):
             return binary_power(self, k, Multicomplex.scalar(n, 1))
         d, v = _integer_spectrum(self.coeffs, n)
         top = 1 << (n - 1)
@@ -180,7 +184,7 @@ class Multicomplex:
     def _coerce(self, value):
         if isinstance(value, Multicomplex):
             return value
-        if is_exact(value) or isinstance(value, float):
+        if _is_scalar(value):
             return Multicomplex.scalar(self.order, value)
         return NotImplemented
 
@@ -215,7 +219,7 @@ class Multicomplex:
         if _rational(v):
             d, v = _common_denominator(v)
             return Multicomplex(order, _from_integer_spectrum(v, order, d))
-        return Multicomplex(order, tuple(_unbutterfly(v, order)))
+        return Multicomplex(order, tuple(_unbutterfly(v, order, _half)))
 
     def is_zero_divisor(self) -> bool:
         """True iff some spectrum component vanishes (the nullific condition)."""
@@ -258,6 +262,20 @@ class Multicomplex:
             "order": self.order,
             "coeffs": [format_scalar(c) for c in self.coeffs],
         }
+
+
+def _is_scalar(value) -> bool:
+    return is_exact(value) or isinstance(value, float)
+
+
+def _element(order: int, coeffs: tuple) -> Multicomplex:
+    """The element with a tuple of exactly 2**order coefficients, built
+    without the constructor's checks, which take about 0.4 of the 3 us of
+    a unit times an order-3 element."""
+    element = object.__new__(Multicomplex)
+    object.__setattr__(element, "order", order)
+    object.__setattr__(element, "coeffs", coeffs)
+    return element
 
 
 # -- the butterfly ----------------------------------------------------------
@@ -310,10 +328,10 @@ def _butterfly(coeffs, order: int) -> list:
     return v
 
 
-def _unbutterfly(v: list, order: int, half=_half) -> list:
+def _unbutterfly(v: list, order: int, half=None) -> list:
     """Inverse of :func:`_butterfly`, in place on ``v``: the stages undone last
-    to first, each x = half(P + M) and u'*y = half(P - M).  Without the
-    halving (``half`` the identity) it returns 2**(order-1) times the
+    to first, each x = half(P + M) and u'*y = half(P - M).  Without ``half``
+    the sums stay unhalved and it returns 2**(order-1) times the
     coefficients."""
     size = len(v)
     for k in range(order - 2, -1, -1):
@@ -322,10 +340,11 @@ def _unbutterfly(v: list, order: int, half=_half) -> list:
             for j in range(base, base + step):
                 j1, j2, j3 = j + step, j + 2 * step, j + 3 * step
                 pe, me, po, mo = v[j], v[j1], v[j2], v[j3]
-                v[j] = half(pe + me)
-                v[j1] = half(po - mo)
-                v[j2] = half(po + mo)
-                v[j3] = half(me - pe)
+                if half is None:
+                    v[j], v[j1], v[j2], v[j3] = pe + me, po - mo, po + mo, me - pe
+                else:
+                    v[j], v[j1] = half(pe + me), half(po - mo)
+                    v[j2], v[j3] = half(po + mo), half(me - pe)
     return v
 
 
@@ -347,14 +366,10 @@ def _from_integer_spectrum(v: list, order: int, d: int) -> tuple:
     where they are whole, Fractions elsewhere."""
     d <<= order - 1
     out = []
-    for x in _unbutterfly(v, order, half=_same):
+    for x in _unbutterfly(v, order):
         q, r = divmod(x, d)
         out.append(Fraction(x, d) if r else q)
     return tuple(out)
-
-
-def _same(value):
-    return value
 
 
 def _stage_signs(order: int) -> list:
@@ -366,29 +381,32 @@ def _stage_signs(order: int) -> list:
     return signs
 
 
-def _spectral_is_cheaper(a: Multicomplex, b: Multicomplex, term_pairs: int) -> bool:
-    """Route a product of rational elements through the spectrum when the
-    direct sum's pairs of nonzero terms outnumber the butterflies' n * 2**n
-    additions, or four times as many when every coefficient is an int.
+def _spectral_is_cheaper(a: tuple, b: tuple, order: int) -> bool:
+    """Route a product of int and Fraction coefficient tuples through the
+    spectrum when the direct sum's pairs of nonzero terms outnumber the
+    butterflies' n * 2**n additions.
 
-    Measured: on dense Fraction operands the spectrum wins from order 3
-    (0.05 against 0.38 ms) and loses at order 2; a Fraction scalar or unit
-    times a dense element costs about the same either way; an int term of
-    the direct sum costs about a fifteenth of a Fraction one, and dense int
-    operands break even near 2-4 * n * 2**n pairs.  So order 2, sparse
-    operands and small int ones stay direct.  So do floats, which keep the
-    bits of the direct sum.
+    Measured on dense Fraction operands: the spectrum wins from order 3
+    (0.05 against 0.38 ms) and loses at order 2, which the callers keep
+    direct.  The counts come first, so a scalar or unit on either side
+    stays direct after counting zeros; floats keep the bits of the direct
+    sum.
     """
-    n = a.order
-    if n < 3 or term_pairs <= n << n:
-        return False
-    coeffs = a.coeffs + b.coeffs
-    if set(map(type, coeffs)) == {int}:
-        return term_pairs > 4 * (n << n)
-    return _rational(coeffs)
+    size = 1 << order
+    nonzero_a = size - a.count(0)
+    return (
+        nonzero_a > order
+        and nonzero_a * (size - b.count(0)) > order << order
+        and _rational(a)
+        and _rational(b)
+    )
+
+
+_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 def _rational(values) -> bool:
-    """Exact real values, the ones the integer butterfly takes (``a * z``
-    with a RationalComplex z leaves complex coefficients, which it does not)."""
-    return all(issubclass(t, numbers.Rational) for t in set(map(type, values)))
+    """Only ints and Fractions, the values the integer butterfly takes (``a *
+    z`` with a RationalComplex z leaves complex coefficients, which it does
+    not); any other value takes the element arithmetic."""
+    return set(map(type, values)) <= _RATIONAL_TYPES

@@ -189,6 +189,18 @@ class TestFloatBits:
             want = subset_rule_product(a.coeffs, b.coeffs, order)
             assert repr((a * b).coeffs) == repr(tuple(want))
 
+    def test_products_with_plain_numbers_keep_the_direct_sum(self):
+        rng = random.Random(3200)
+        pool = (0, 0.0, -0.0, 3, Fraction(-2, 3), -1.5, 5e-324, float("inf"), float("nan"))
+        for order in (1, 2, 3, 4):
+            a = Multicomplex(order, self.mixed(rng, 1 << order))
+            for c in pool:
+                scalar = [c] + [0] * ((1 << order) - 1)
+                want = repr(tuple(subset_rule_product(a.coeffs, scalar, order)))
+                assert repr((a * c).coeffs) == want
+                assert repr((c * a).coeffs) == want
+                assert repr((a * Multicomplex.scalar(order, c)).coeffs) == want
+
 
 class TestSplit:
     def test_real_scalar_is_diagonal(self):
