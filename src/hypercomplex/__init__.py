@@ -27,7 +27,7 @@ from .quadruple import (
     is_normal,
     named_table,
 )
-from .scalars import RationalComplex
+from .scalars import InvariantError, RationalComplex, ZeroInput
 from .surd import (
     CongenerReport,
     ParseError,
@@ -49,6 +49,7 @@ __all__ = [
     "CongenerReport",
     "DegenerateSpectrum",
     "IdealTag",
+    "InvariantError",
     "Multicomplex",
     "NoConvergence",
     "NotComplanar",
@@ -62,6 +63,7 @@ __all__ = [
     "SplitPair",
     "SurdEquation",
     "UnsupportedNesting",
+    "ZeroInput",
     "ZeroPolynomial",
     "classify_roots",
     "complex_roots",

@@ -36,12 +36,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bicomplex import Bicomplex
 from .scalars import (
     HALF,
     RationalComplex,
+    ZeroInput,
     format_scalar,
     is_exact,
     parse_scalar,
@@ -53,10 +52,6 @@ SOLVE_RESIDUAL_RTOL = 1e-9
 DEDUP_RTOL = 1e-7
 EIGEN_SEPARATION_RTOL = 1e-8
 REAL_PART_RTOL = 1e-9
-
-
-class ZeroInput(ValueError):
-    """The operation is undefined at zero."""
 
 
 class NotComplanar(ValueError):
@@ -301,8 +296,12 @@ def solve_quadratic(b: Biquaternion, c: Biquaternion) -> list[Biquaternion]:
     eigenvalue, in which case the solution set contains non-isolated points
     and no finite enumeration exists.
     """
-    bt = _np_matrix(b).T
-    ct = _np_matrix(c).T
+    import numpy as np  # loaded on first use: ``import hypercomplex`` stays numpy-free
+
+    bt, ct = (
+        np.array([[complex(v) for v in row] for row in q.to_matrix()], dtype=complex).T
+        for q in (b, c)
+    )
     companion = np.block(
         [[np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)], [ct, bt]]
     )
@@ -329,11 +328,6 @@ def solve_quadratic(b: Biquaternion, c: Biquaternion) -> list[Biquaternion]:
             solutions.append(candidate)
 
     return _dedup(solutions)
-
-
-def _np_matrix(q: Biquaternion) -> np.ndarray:
-    rows = q.to_matrix()
-    return np.array([[complex(v) for v in row] for row in rows], dtype=complex)
 
 
 def _dedup(solutions: list[Biquaternion]) -> list[Biquaternion]:

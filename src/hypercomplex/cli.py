@@ -27,7 +27,7 @@ from . import multicomplex as mc
 from . import polysolve, quadruple, surd
 from . import ratpoly as rp
 from .bicomplex import Bicomplex, NotInvertible
-from .scalars import format_scalar
+from .scalars import ZeroInput, format_scalar
 
 SCHEMA = "1"
 
@@ -35,10 +35,9 @@ COMPUTATIONAL_ERRORS = (
     NotInvertible,
     polysolve.ZeroPolynomial,
     polysolve.NoConvergence,
-    bq.ZeroInput,
     bq.NotComplanar,
     bq.DegenerateSpectrum,
-    mc.ZeroInput,
+    ZeroInput,
     mc.OrderMismatch,
     quadruple.TableMismatch,
 )

@@ -38,12 +38,14 @@ coefficients, one term each.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from .bicomplex import Bicomplex
 from .scalars import (
     HALF,
     RationalComplex,
+    ZeroInput,
     binary_power,
     format_scalar,
     is_exact,
@@ -58,10 +60,6 @@ NULLIFIC_RTOL = 1e-12
 
 class OrderMismatch(ValueError):
     """Operands live in towers of different order."""
-
-
-class ZeroInput(ValueError):
-    """The operation is undefined at zero."""
 
 
 @dataclass(frozen=True)
@@ -129,6 +127,9 @@ class Multicomplex:
         return self + (-other)
 
     def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -265,7 +266,9 @@ class Multicomplex:
 
 
 def _is_scalar(value) -> bool:
-    return is_exact(value) or isinstance(value, float)
+    """A real coefficient.  A complex value, exact ``RationalComplex`` too, is
+    not one: the tower's imaginary units are basis elements, not scalars."""
+    return isinstance(value, (float, numbers.Rational))
 
 
 def _element(order: int, coeffs: tuple) -> Multicomplex:

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bicomplex import Bicomplex, SplitPair
 from .multicomplex import Multicomplex, OrderMismatch
-from .scalars import RationalComplex, scalar_norm
+from .scalars import InvariantError, RationalComplex, scalar_norm
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
 SOLVE_RESIDUAL_RTOL = 1e-9   # recombined-root substitution check
@@ -136,6 +134,8 @@ def _aberth(coeffs, max_iter: int = 200) -> Optional[list[complex]]:
 
 
 def _companion_roots(coeffs) -> list[complex]:
+    import numpy as np  # loaded on first use: ``import hypercomplex`` stays numpy-free
+
     return [complex(r) for r in np.roots(list(reversed(coeffs)))]
 
 
@@ -178,7 +178,8 @@ def _deflate_exact(coeffs, root: RationalComplex) -> list:
     for c in reversed(coeffs[1:]):
         acc = acc * root + c
         quotient_desc.append(acc)
-    assert not (acc * root + coeffs[0]), "deflation by a non-root"
+    if acc * root + coeffs[0]:
+        raise InvariantError(f"deflation by a non-root {root}")
     return list(reversed(quotient_desc))
 
 

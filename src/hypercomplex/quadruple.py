@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .scalars import format_scalar
+from .scalars import InvariantError, format_scalar
 
 BASIS_NAMES = ("1", "a", "b", "c")
 
@@ -141,7 +141,8 @@ def derive_table(sig: QuadSignature) -> list[CayleyTable]:
         if depth == len(_UNKNOWN_SLOTS):
             entries = tuple(partial[(i, j)] for i in range(4) for j in range(4))
             table = CayleyTable(sig, entries)
-            assert table.is_associative()
+            if not table.is_associative():
+                raise InvariantError(f"derived table for {sig} is not associative")
             found.append(table)
             return
         slot = _UNKNOWN_SLOTS[depth]

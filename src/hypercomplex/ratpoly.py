@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 Poly = tuple
 
 
@@ -127,6 +125,8 @@ def rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
 
 
 def numpy_roots(p: Poly) -> list[complex]:
+    import numpy as np  # loaded on first use: ``import hypercomplex`` stays numpy-free
+
     return [complex(r) for r in np.roots([float(c) for c in reversed(p)])]
 
 

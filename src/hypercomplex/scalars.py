@@ -23,6 +23,16 @@ from typing import Union
 Scalar = Union[int, Fraction, float]
 
 
+class ZeroInput(ValueError):
+    """The operation is undefined at zero."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug in this package, not bad input.
+
+    Raised where ``assert`` would do, since ``python -O`` strips asserts."""
+
+
 def is_exact(value) -> bool:
     """True when the value carries no floating-point component."""
     if isinstance(value, RationalComplex):

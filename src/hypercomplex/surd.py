@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from . import ratpoly as rp
+from .scalars import InvariantError
 
 MAX_RADICALS = 4
 MAX_RADICAND_DEGREE = 8
@@ -326,7 +327,8 @@ def stock_equation(eq: SurdEquation) -> tuple:
             signed_q = rp.scale(t.coeff, t.sign)
             element[1 << m] = rp.add(element.get(1 << m, ()), signed_q)
         product = _quotient_mul(product, element, radicands)
-    assert set(product) <= {0}, "congener product failed to rationalize"
+    if not set(product) <= {0}:
+        raise InvariantError("congener product failed to rationalize")
     return rp.primitive_positive(product.get(0, ()))
 
 
@@ -379,7 +381,8 @@ class CongenerReport:
 def classify_roots(eq: SurdEquation) -> CongenerReport:
     """Solve the stock equation and hand each root to the congeners it kills."""
     stock = stock_equation(eq)
-    assert stock, "stock equation vanished for a valid surd equation"
+    if not stock:
+        raise InvariantError("stock equation vanished for a valid surd equation")
     all_congeners = congeners(eq)
 
     rational, remainder = rp.rational_roots(stock)

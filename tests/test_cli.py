@@ -75,6 +75,11 @@ class TestMc:
         code, _, _ = run("mc", "--order", "2", "mul", "1,2", "3,4")
         assert code == 2
 
+    def test_zero_divisor_test_of_zero_exits_one(self):
+        assert run("mc", "--order", "2", "is-zero-divisor", "0,0,0,0") == (
+            1, "", "error: zero divisor test is undefined at zero\n",
+        )
+
 
 class TestAlgebra:
     def test_tessarine_table_is_commutative_text(self):

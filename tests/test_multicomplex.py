@@ -311,6 +311,11 @@ class TestZeroDivisor:
         with pytest.raises(ZeroInput):
             Multicomplex.scalar(3, 0).is_zero_divisor()
 
+    def test_one_zero_input_class(self):
+        from hypercomplex import biquaternion, multicomplex, scalars
+
+        assert multicomplex.ZeroInput is biquaternion.ZeroInput is scalars.ZeroInput
+
     @given(multicomplexes(order=3))
     @settings(max_examples=100)
     def test_matches_spectrum_criterion(self, a):
@@ -331,3 +336,31 @@ class TestText:
     def test_parse_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             Multicomplex.parse("1,2,3", 2)
+
+
+class TestComplexValuesAreNoScalars:
+    """A RationalComplex is exact but complex: mixing it into the tower would
+    give complex coefficients, so the operators decline it."""
+
+    a = Multicomplex(3, tuple(Fraction(k + 1, 3) for k in range(8)))
+    z = RationalComplex(Fraction(1), Fraction(2))
+
+    @pytest.mark.parametrize("name", ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"])
+    def test_operators_return_not_implemented(self, name):
+        assert getattr(self.a, name)(self.z) is NotImplemented
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, z: a + z,
+            lambda a, z: z + a,
+            lambda a, z: a - z,
+            lambda a, z: z - a,
+            lambda a, z: a * z,
+            lambda a, z: z * a,
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+    )
+    def test_mixing_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(self.a, self.z)

@@ -23,7 +23,8 @@ from hypercomplex.polysolve import (
     solve,
     split_polynomial,
 )
-from hypercomplex.scalars import RationalComplex
+from hypercomplex.polysolve import _deflate_exact
+from hypercomplex.scalars import InvariantError, RationalComplex
 
 
 def expand_from_roots(roots):
@@ -254,3 +255,11 @@ class TestMcSolve:
         rs = mc_solve([zero, g3])
         assert rs.kind == "InfiniteFamily"
         assert rs.family.free_components == (1,)
+
+
+class TestExactDeflation:
+    def test_non_root_raises(self):
+        # 1 is no root of z**2 + 1
+        coeffs = [RationalComplex(Fraction(c)) for c in (1, 0, 1)]
+        with pytest.raises(InvariantError, match="non-root"):
+            _deflate_exact(coeffs, RationalComplex(Fraction(1)))

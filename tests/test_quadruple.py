@@ -13,6 +13,7 @@ from hypercomplex.quadruple import (
     is_normal,
     named_table,
 )
+from hypercomplex.scalars import InvariantError
 
 from oracles import det_gauss, table_is_associative
 
@@ -99,6 +100,12 @@ class TestDerivation:
             for t in tables:
                 for ea, eb in ((1, -1), (-1, 1), (-1, -1)):
                     assert _flip_table(t, ea, eb) in entry_sets
+
+    def test_table_that_escapes_pruning_raises(self, monkeypatch):
+        # With no triples to check, the search completes non-associative tables.
+        monkeypatch.setattr("hypercomplex.quadruple._NONTRIVIAL_TRIPLES", ())
+        with pytest.raises(InvariantError, match="not associative"):
+            derive_table(QuadSignature(-1, -1))
 
 
 class TestElements:

@@ -15,6 +15,7 @@ from hypercomplex.surd import (
     parse_surd,
     stock_equation,
 )
+from hypercomplex.scalars import InvariantError
 
 
 def poly(*ascending):
@@ -141,6 +142,18 @@ class TestStockEquation:
         # ((1+sqrt(x))^2 - (x+1)) * ((1-sqrt(x))^2 - (x+1)) = -4x
         eq = parse_surd("1 + sqrt(x) + sqrt(x + 1) = 0")
         assert stock_equation(eq) == poly(0, 1)
+
+    def test_unrationalized_product_raises(self, monkeypatch):
+        # One congener alone keeps its radical.
+        monkeypatch.setattr("hypercomplex.surd.congeners", lambda eq: [eq])
+        with pytest.raises(InvariantError, match="rationalize"):
+            stock_equation(parse_surd("1 + sqrt(x) = 0"))
+
+    def test_vanished_stock_raises(self):
+        # The parser rejects equations without a radical; built directly,
+        # the empty equation has the zero stock polynomial.
+        with pytest.raises(InvariantError, match="vanished"):
+            classify_roots(SurdEquation(base=(), terms=()))
 
     def test_primitive_and_positive_leading(self):
         eq = parse_surd("4*x + 2*sqrt(x^2 - 7) = 10")
