@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,6 +105,9 @@ class Bicomplex:
         return self + (-other)
 
     def __rsub__(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -238,9 +242,11 @@ class Bicomplex:
 
 
 def _coerce(value):
+    """A real scalar as an element.  A complex value, exact ``RationalComplex``
+    too, is not one: i and h are basis units, not scalar imaginaries."""
     if isinstance(value, Bicomplex):
         return value
-    if is_exact(value) or isinstance(value, float):
+    if isinstance(value, (float, numbers.Rational)):
         return Bicomplex(value, 0, 0, 0)
     return NotImplemented
 

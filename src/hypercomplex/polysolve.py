@@ -16,6 +16,15 @@ Cauchy-bound initial circle, falling back to companion-matrix eigenvalues
 when it stalls.  Roots of exact-coefficient components are snapped back to
 Gaussian rationals whenever exact substitution confirms them, so rational
 root sets (and their residuals) come out exactly zero.
+
+Both exact checks run on scaled Gaussian integers, not on ``Fraction``s.
+A degree-n polynomial is scaled once by the common denominator D of its
+coefficients; at x = y/d, y a Gaussian integer (or an integer element),
+D * d**n * p(x) = sum (D*c_k) y**k d**(n-k) is computed by Horner on Python
+ints, O(n) products with no gcd normalisation.  The snap test and the
+multiplicity count use it on each component polynomial, and the
+substitution check of every exact recombined root uses it on the original
+coefficients in the algebra's basis.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bicomplex import Bicomplex, SplitPair
-from .multicomplex import Multicomplex, OrderMismatch
+from .multicomplex import Multicomplex, OrderMismatch, _common_denominator, _rational
 from .scalars import InvariantError, RationalComplex, scalar_norm
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
@@ -164,11 +173,32 @@ def _merge_clusters(roots: list[complex]) -> list[complex]:
 _SNAP_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 100, 1000, SNAP_DENOMINATOR)
 
 
-def _eval_exact(coeffs, x: RationalComplex) -> RationalComplex:
-    acc = RationalComplex(Fraction(0))
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _gaussian_integers(coeffs) -> list:
+    """The (re, im) int pairs of D*c for exact complex coefficients c, D
+    their common denominator: D*p has Gaussian-integer coefficients."""
+    _, ints = _common_denominator([part for c in coeffs for part in (c.real, c.imag)])
+    return list(zip(ints[::2], ints[1::2]))
+
+
+def _vanishes_at(scaled, re: Fraction, im: Fraction) -> bool:
+    """Whether p(re + im*i) = 0 exactly, p given by :func:`_gaussian_integers`.
+
+    With x = (a + b*i)/d, D * d**n * p(x) = sum C_k (a + b*i)**k d**(n-k),
+    so Horner on Python ints decides it: O(n) Gaussian-integer
+    multiply-adds and no gcd normalisation.
+    """
+    d = math.lcm(re.denominator, im.denominator)
+    a = re.numerator * (d // re.denominator)
+    b = im.numerator * (d // im.denominator)
+    acc_re, acc_im = scaled[-1]
+    scale = 1
+    for c_re, c_im in reversed(scaled[:-1]):
+        scale *= d
+        acc_re, acc_im = (
+            acc_re * a - acc_im * b + c_re * scale,
+            acc_re * b + acc_im * a + c_im * scale,
+        )
+    return not (acc_re or acc_im)
 
 
 def _deflate_exact(coeffs, root: RationalComplex) -> list:
@@ -183,21 +213,20 @@ def _deflate_exact(coeffs, root: RationalComplex) -> list:
     return list(reversed(quotient_desc))
 
 
-def _snap_candidate(root: complex, coeffs) -> Optional[RationalComplex]:
+def _snap_candidate(root: complex, scaled) -> Optional[RationalComplex]:
     """Gaussian-rational value near a float root that exactly annihilates the
-    polynomial; small denominators first, so float noise around a multiple
-    rational root still lands on it.  Exact verification rules out false hits."""
+    polynomial given by :func:`_gaussian_integers`; small denominators first,
+    so float noise around a multiple rational root still lands on it.  Exact
+    verification rules out false hits."""
+    re, im = Fraction(root.real), Fraction(root.imag)
     seen = set()
     for d in _SNAP_DENOMINATORS:
-        candidate = RationalComplex(
-            Fraction(root.real).limit_denominator(d),
-            Fraction(root.imag).limit_denominator(d),
-        )
+        candidate = (re.limit_denominator(d), im.limit_denominator(d))
         if candidate in seen:
             continue
         seen.add(candidate)
-        if not _eval_exact(coeffs, candidate):
-            return candidate
+        if _vanishes_at(scaled, *candidate):
+            return RationalComplex(*candidate)
     return None
 
 
@@ -215,19 +244,23 @@ def _component_roots(coeffs) -> list:
 
     exact_roots: list[RationalComplex] = []
     current = list(coeffs)
-    while len(current) >= 2:
+    scaled = _gaussian_integers(current)
+    numeric = complex_roots(current)
+    while True:
         hit = None
-        for r in complex_roots(current):
-            hit = _snap_candidate(r, current)
+        for r in numeric:
+            hit = _snap_candidate(r, scaled)
             if hit is not None:
                 break
         if hit is None:
-            break
-        while len(current) >= 2 and not _eval_exact(current, hit):
+            return exact_roots + numeric
+        while len(current) >= 2 and _vanishes_at(scaled, hit.re, hit.im):
             exact_roots.append(hit)
             current = _deflate_exact(current, hit)
-    remainder_roots = complex_roots(current) if len(current) >= 2 else []
-    return exact_roots + remainder_roots
+            scaled = _gaussian_integers(current)
+        if len(current) < 2:
+            return exact_roots
+        numeric = complex_roots(current)
 
 
 def _strip(coeffs: list) -> list:
@@ -261,10 +294,7 @@ class BicomplexPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, value: Bicomplex) -> Bicomplex:
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * value + c
-        return acc
+        return _horner(self.coeffs, value)
 
 
 @dataclass(frozen=True)
@@ -296,7 +326,7 @@ def solve(p: BicomplexPoly) -> RootSet:
     return _solve_components(
         comps,
         recompose=lambda vals: Bicomplex.recompose(SplitPair(*vals)),
-        substitute=p,
+        residual_of=_substitution(p.coeffs),
         sort_key=lambda root: _float_key(root.decompose()),
         coeff_norms=[scalar_norm(c.components()) for c in p.coeffs],
     )
@@ -318,17 +348,10 @@ def mc_solve(coeffs: Sequence[Multicomplex], order: Optional[int] = None) -> Roo
     splits = [c.split() for c in cs]
     ncomp = 1 << (n - 1)
     comps = [_strip([s[i] for s in splits]) for i in range(ncomp)]
-
-    def substitute(value: Multicomplex) -> Multicomplex:
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = acc * value + c
-        return acc
-
     return _solve_components(
         comps,
         recompose=lambda vals: Multicomplex.unsplit(vals, n),
-        substitute=substitute,
+        residual_of=_substitution(cs),
         sort_key=lambda root: _float_key(root.split()),
         coeff_norms=[scalar_norm(c.coeffs) for c in cs],
     )
@@ -342,7 +365,52 @@ def _float_key(values) -> tuple:
     return tuple(key)
 
 
-def _solve_components(comps, recompose, substitute, sort_key, coeff_norms) -> RootSet:
+def _substitution(coeffs):
+    """The substitution check of the polynomial with degree-ascending
+    ``Bicomplex`` or ``Multicomplex`` coefficients: a function from a root r
+    to the residual |p(r)|, the norm of the coefficients of p(r) in the
+    algebra's basis.
+
+    When every coefficient and r are exact (ints and Fractions) the check
+    runs on integers: with D the common denominator of the coefficients and
+    d that of r, D * d**n * p(r) = sum (D*c_k) (d*r)**k d**(n-k), by Horner
+    on int-coefficient elements, O(n) products without gcd normalisation.
+    It works in the basis, not through the split, so it stays an independent
+    check of the recombination.  Only a nonzero value is divided back, by int
+    true division, which rounds as ``float(Fraction)`` does, so the residual
+    is the one the element Horner gives, bit for bit.  Other inputs take the
+    element Horner itself.
+    """
+    if isinstance(coeffs[0], Bicomplex):
+        parts, element = Bicomplex.components, lambda xs: Bicomplex(*xs)
+    else:
+        order = coeffs[0].order
+        parts, element = (lambda a: a.coeffs), (lambda xs: Multicomplex(order, tuple(xs)))
+    exact = all(_rational(parts(c)) for c in coeffs)
+    if exact:
+        width = len(parts(coeffs[0]))
+        denominator, ints = _common_denominator([x for c in coeffs for x in parts(c)])
+        scaled = [element(ints[k:k + width]) for k in range(0, len(ints), width)]
+
+    def residual(root) -> float:
+        if not (exact and _rational(parts(root))):
+            return scalar_norm(parts(_horner(coeffs, root)))
+        d, ints = _common_denominator(parts(root))
+        x = element(ints)
+        acc = scaled[-1]
+        scale = 1
+        for c in reversed(scaled[:-1]):
+            scale *= d
+            acc = acc * x + c * scale
+        if acc.is_zero():
+            return 0.0
+        den = denominator * scale
+        return scalar_norm([v / den for v in parts(acc)])
+
+    return residual
+
+
+def _solve_components(comps, recompose, residual_of, sort_key, coeff_norms) -> RootSet:
     counts = tuple(max(len(c) - 1, 0) for c in comps)
     if any(not c for c in comps):
         free = tuple(i for i, c in enumerate(comps) if not c)
@@ -365,11 +433,9 @@ def _solve_components(comps, recompose, substitute, sort_key, coeff_norms) -> Ro
     for combo in combos:
         if all(isinstance(z, RationalComplex) for z in combo):
             root = recompose(combo)
-            value = substitute(root)
-            residual = 0.0 if value.is_zero() else _value_norm(value)
         else:
             root = recompose([complex(z) for z in combo])
-            residual = _value_norm(substitute(root))
+        residual = residual_of(root)
         if residual > tol:
             raise NoConvergence(
                 f"recombined root fails substitution: residual {residual:.3e} > {tol:.3e}"
@@ -384,8 +450,3 @@ def _solve_components(comps, recompose, substitute, sort_key, coeff_norms) -> Ro
         roots=tuple(roots[i] for i in order),
         residuals=tuple(residuals[i] for i in order),
     )
-
-
-def _value_norm(value) -> float:
-    comps = value.components() if isinstance(value, Bicomplex) else value.coeffs
-    return scalar_norm(comps)

@@ -281,3 +281,31 @@ class TestText:
     def test_zero_prints_as_zero(self):
         assert str(ZERO) == "0"
         assert str(ONE - K) == "1 - 1*k"
+
+
+class TestComplexValuesAreNoScalars:
+    """A RationalComplex is exact but complex: taking it as a scalar would
+    give complex components, so the operators decline it."""
+
+    a = Bicomplex(1, 2, 3, 4)
+    z = RationalComplex(Fraction(1), Fraction(2))
+
+    @pytest.mark.parametrize("name", ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"])
+    def test_operators_return_not_implemented(self, name):
+        assert getattr(self.a, name)(self.z) is NotImplemented
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, z: a + z,
+            lambda a, z: z + a,
+            lambda a, z: a - z,
+            lambda a, z: z - a,
+            lambda a, z: a * z,
+            lambda a, z: z * a,
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+    )
+    def test_mixing_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(self.a, self.z)

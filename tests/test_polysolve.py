@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypercomplex.bicomplex import (
     G,
@@ -13,9 +15,11 @@ from hypercomplex.bicomplex import (
     Bicomplex,
     SplitPair,
 )
+from hypercomplex import polysolve
 from hypercomplex.multicomplex import Multicomplex
 from hypercomplex.polysolve import (
     BicomplexPoly,
+    NoConvergence,
     RootSet,
     ZeroPolynomial,
     complex_roots,
@@ -23,8 +27,18 @@ from hypercomplex.polysolve import (
     solve,
     split_polynomial,
 )
-from hypercomplex.polysolve import _deflate_exact
-from hypercomplex.scalars import InvariantError, RationalComplex
+from hypercomplex.polysolve import (
+    _SNAP_DENOMINATORS,
+    _component_roots,
+    _deflate_exact,
+    _gaussian_integers,
+    _snap_candidate,
+    _substitution,
+    _vanishes_at,
+)
+from hypercomplex.scalars import InvariantError, RationalComplex, scalar_norm
+
+from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
 
 
 def expand_from_roots(roots):
@@ -263,3 +277,137 @@ class TestExactDeflation:
         coeffs = [RationalComplex(Fraction(c)) for c in (1, 0, 1)]
         with pytest.raises(InvariantError, match="non-root"):
             _deflate_exact(coeffs, RationalComplex(Fraction(1)))
+
+
+# -- exact checks on scaled Gaussian integers ---------------------------------
+
+gaussian_rationals = st.builds(RationalComplex, small_fractions, small_fractions)
+exact_scalars = st.one_of(small_fractions, small_ints)
+
+
+def rational_horner(coeffs, x):
+    """p(x) in RationalComplex arithmetic, the check the integer test replaces."""
+    acc = RationalComplex(Fraction(0))
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def element_horner(coeffs, x):
+    """p(x) in element arithmetic, the substitution the integer check replaces."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def basis_norm(value) -> float:
+    return scalar_norm(value.components() if isinstance(value, Bicomplex) else value.coeffs)
+
+
+def times_roots(cofactor, roots):
+    """Ascending coefficients of cofactor(z) * prod (z - r)."""
+    coeffs = list(cofactor)
+    for r in roots:
+        shifted = [RationalComplex(Fraction(0))] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] = shifted[i] - r * c
+        coeffs = shifted
+    return coeffs
+
+
+class TestGaussianIntegerVanishing:
+    @given(
+        st.lists(gaussian_rationals, min_size=1, max_size=4),
+        st.lists(gaussian_rationals, min_size=1, max_size=3).filter(lambda cs: cs[-1]),
+        st.floats(min_value=-1e-3, max_value=1e-3),
+    )
+    def test_agrees_with_rational_horner(self, roots, cofactor, noise):
+        coeffs = times_roots(cofactor, roots)
+        scaled = _gaussian_integers(coeffs)
+        assert all(_vanishes_at(scaled, r.re, r.im) for r in roots)
+        points = [RationalComplex(Fraction(0))]
+        for r in roots:
+            z = complex(r) + complex(noise, -noise)
+            # the near misses the snap tries, in its order
+            candidates = [
+                RationalComplex(
+                    Fraction(z.real).limit_denominator(d),
+                    Fraction(z.imag).limit_denominator(d),
+                )
+                for d in _SNAP_DENOMINATORS
+            ]
+            points += [r] + candidates
+            hits = [x for x in candidates if not rational_horner(coeffs, x)]
+            assert _snap_candidate(z, scaled) == (hits[0] if hits else None)
+        for x in points:
+            assert _vanishes_at(scaled, x.re, x.im) == (not rational_horner(coeffs, x))
+
+
+def test_complex_roots_runs_once_per_deflated_polynomial(monkeypatch):
+    calls = []
+    original = polysolve.complex_roots
+    monkeypatch.setattr(polysolve, "complex_roots", lambda cs: calls.append(len(cs)) or original(cs))
+    # (z - 1)(z**2 - 2): 1 snaps, the irrational pair does not
+    coeffs = [RationalComplex(Fraction(c)) for c in (2, -2, -1, 1)]
+    roots = _component_roots(coeffs)
+    assert roots[0] == RationalComplex(Fraction(1))
+    assert calls == [4, 3]
+
+
+class TestIntegerSubstitution:
+    """Exact roots are substituted on integers; a nonzero value is divided
+    back so the residual is the element Horner's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "elements",
+        [bicomplexes(exact_scalars), multicomplexes(2, exact_scalars), multicomplexes(3, exact_scalars)],
+        ids=["bicomplex", "order2", "order3"],
+    )
+    @given(data=st.data())
+    def test_matches_element_horner(self, elements, data):
+        coeffs = data.draw(st.lists(elements, min_size=2, max_size=5))
+        x = data.draw(elements)
+        got = _substitution(coeffs)(x)
+        assert repr(got) == repr(basis_norm(element_horner(coeffs, x)))
+
+    def test_exact_root_gives_exact_zero(self):
+        one, zero = Multicomplex.scalar(3, 1), Multicomplex.scalar(3, 0)
+        i1 = Multicomplex.unit(3, 0)
+        assert _substitution([one, zero, one])(i1) == 0.0
+
+
+def perturb_second_root(monkeypatch, cls, name, delta):
+    """Patch the recombination ``cls.name`` so the second root it builds is
+    off by ``delta``; returns the roots it built."""
+    original = getattr(cls, name)
+    built = []
+
+    def perturbed(*args):
+        root = original(*args)
+        built.append(root)
+        return root + delta if len(built) == 2 else root
+
+    monkeypatch.setattr(cls, name, staticmethod(perturbed))
+    return built
+
+
+class TestSubstitutionCatchesBadRecombination:
+    def test_bicomplex(self, monkeypatch):
+        delta = Bicomplex(0, 0, 0, Fraction(1, 1000))
+        built = perturb_second_root(monkeypatch, Bicomplex, "recompose", delta)
+        coeffs = (Bicomplex(-1), ZERO, ONE)
+        with pytest.raises(NoConvergence) as excinfo:
+            solve(BicomplexPoly(coeffs))
+        residual = basis_norm(element_horner(coeffs, built[1] + delta))
+        assert f"residual {residual:.3e}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_multicomplex(self, monkeypatch, order):
+        delta = Multicomplex.scalar(order, Fraction(1, 1000))
+        built = perturb_second_root(monkeypatch, Multicomplex, "unsplit", delta)
+        coeffs = [Multicomplex.scalar(order, -1), Multicomplex.scalar(order, 0), Multicomplex.scalar(order, 1)]
+        with pytest.raises(NoConvergence) as excinfo:
+            mc_solve(coeffs)
+        residual = basis_norm(element_horner(coeffs, built[1] + delta))
+        assert f"residual {residual:.3e}" in str(excinfo.value)
