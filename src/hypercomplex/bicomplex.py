@@ -15,6 +15,9 @@ multiplication acts componentwise on (Z, Z').  The zero divisors are
 exactly the elements with Z = 0 or Z' = 0; they form the two ideals
 generated by -h + i and h + i.
 
+The product keeps its own kernel: the order-2 ``Multicomplex`` one is
+slower and rounds floats differently.
+
 All values are immutable and every operation is a pure function, so
 anything here can be shared freely across threads.
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,17 +33,15 @@ from typing import NamedTuple
 
 from .scalars import (
     HALF,
+    Element,
     abs_sq,
-    binary_power,
     format_scalar,
-    is_exact,
+    is_real_scalar,
     make_complex,
     parse_scalar,
-    scalar_norm,
+    scan_terms,
+    vanishing,
 )
-
-# Float-backend zero-divisor test: |Z| <= NULLIFIC_RTOL * (1 + ||a||).
-NULLIFIC_RTOL = 1e-12
 
 
 class NotInvertible(ArithmeticError):
@@ -63,7 +63,7 @@ class SplitPair(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Bicomplex:
+class Bicomplex(Element):
     """w + x*i + y*h + z*k with scalar components (exact rational or float)."""
 
     w: object = 0
@@ -76,17 +76,17 @@ class Bicomplex:
     def components(self):
         return (self.w, self.x, self.y, self.z)
 
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.components())
-
     def is_zero(self) -> bool:
         return not (self.w or self.x or self.y or self.z)
 
-    def __bool__(self):
-        return not self.is_zero()
+    def _from_scalar(self, value):
+        """A real scalar as an element.  A complex value, exact
+        ``RationalComplex`` too, is not one: i and h are basis units, not
+        scalar imaginaries."""
+        return Bicomplex(value, 0, 0, 0) if is_real_scalar(value) else NotImplemented
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return Bicomplex(
@@ -98,20 +98,8 @@ class Bicomplex:
     def __neg__(self):
         return Bicomplex(-self.w, -self.x, -self.y, -self.z)
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (-self) + other
-
     def __mul__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
@@ -123,11 +111,6 @@ class Bicomplex:
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        return binary_power(self, n, ONE)
 
     # -- Segre split ----------------------------------------------------
 
@@ -152,12 +135,7 @@ class Bicomplex:
         """Which nullific set (zero-divisor ideal) the element belongs to."""
         if self.is_zero():
             return IdealTag.ZERO
-        z1, z2 = self.decompose()
-        if self.is_exact():
-            z1_zero, z2_zero = not z1, not z2
-        else:
-            tol = NULLIFIC_RTOL * (1.0 + scalar_norm(self.components()))
-            z1_zero, z2_zero = abs(z1) <= tol, abs(z2) <= tol
+        z1_zero, z2_zero = vanishing(self.decompose(), self.components())
         if z2_zero:
             return IdealTag.FIRST_SET
         if z1_zero:
@@ -165,7 +143,7 @@ class Bicomplex:
         return IdealTag.NONE
 
     def is_zero_divisor(self) -> bool:
-        return self.ideal() in (IdealTag.FIRST_SET, IdealTag.SECOND_SET)
+        return any(vanishing(self.decompose(), self.components()))
 
     # -- norm and inversion ----------------------------------------------
 
@@ -227,8 +205,10 @@ class Bicomplex:
     def parse(text: str) -> "Bicomplex":
         """Parse 'w + x*i + y*h + z*k' with rational (p/q) or float literals."""
         comps = {"": 0, "i": 0, "h": 0, "k": 0}
-        for sign, coeff_text, unit in _element_terms(text):
-            coeff = parse_scalar(coeff_text) if coeff_text else 1
+        for sign, m in scan_terms(text, _TERM_RE):
+            coeff_text = m.group("coeff")
+            coeff = parse_scalar(coeff_text.replace(" ", "")) if coeff_text else 1
+            unit = m.group("unit") or m.group("bare_unit") or ""
             comps[unit] = comps[unit] + (-coeff if sign == "-" else coeff)
         return Bicomplex(comps[""], comps["i"], comps["h"], comps["k"])
 
@@ -239,16 +219,6 @@ class Bicomplex:
             "y": format_scalar(self.y),
             "z": format_scalar(self.z),
         }
-
-
-def _coerce(value):
-    """A real scalar as an element.  A complex value, exact ``RationalComplex``
-    too, is not one: i and h are basis units, not scalar imaginaries."""
-    if isinstance(value, Bicomplex):
-        return value
-    if isinstance(value, (float, numbers.Rational)):
-        return Bicomplex(value, 0, 0, 0)
-    return NotImplemented
 
 
 def _is_negative(scalar) -> bool:
@@ -267,28 +237,6 @@ _TERM_RE = re.compile(
         )\s*""",
     re.VERBOSE,
 )
-
-
-def _element_terms(text: str):
-    """Yield (sign, coefficient-text, unit) triples; '' unit = scalar term."""
-    pos, first = 0, True
-    text = text.strip()
-    if not text:
-        raise ValueError("empty element")
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad element syntax at position {pos}: {text[pos:]!r}")
-        sign = m.group("sign") or "+"
-        if not first and m.group("sign") is None:
-            raise ValueError(f"missing '+'/'-' before position {pos}")
-        if m.group("bare_unit"):
-            coeff_text, unit = "", m.group("bare_unit")
-        else:
-            coeff_text = m.group("coeff").replace(" ", "")
-            unit = m.group("unit") or ""
-        yield sign, coeff_text, unit
-        pos, first = m.end(), False
 
 
 ZERO = Bicomplex(0, 0, 0, 0)

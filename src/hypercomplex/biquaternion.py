@@ -16,6 +16,9 @@ elements whose product with some nonzero element vanishes, e.g.
 (k + w)(k - w) = k**2 + 1 = 0 -- are exactly the elements with vanishing
 determinant.
 
+A real or complex number acts as the element c0; ``is_nullifier`` raises
+``ZeroInput`` at 0, as every zero-divisor test here does.
+
 Elements complanar with i (c2 = c3 = 0) form a commutative subalgebra
 isomorphic to the bicomplex numbers via w -> h, i -> i.
 
@@ -39,16 +42,19 @@ from fractions import Fraction
 from .bicomplex import Bicomplex
 from .scalars import (
     HALF,
+    NULLIFIC_RTOL,
+    SOLVE_RESIDUAL_RTOL,
+    Element,
     RationalComplex,
     ZeroInput,
     format_scalar,
     is_exact,
+    make_complex,
     parse_scalar,
+    scan_terms,
     times_i,
 )
 
-NULLIFIER_RTOL = 1e-12
-SOLVE_RESIDUAL_RTOL = 1e-9
 DEDUP_RTOL = 1e-7
 EIGEN_SEPARATION_RTOL = 1e-8
 REAL_PART_RTOL = 1e-9
@@ -73,7 +79,7 @@ def _coerce_component(value):
 
 
 @dataclass(frozen=True)
-class Biquaternion:
+class Biquaternion(Element):
     """c0 + c1*i + c2*j + c3*k with complex scalar components."""
 
     c0: object = 0
@@ -88,17 +94,15 @@ class Biquaternion:
     def components(self):
         return (self.c0, self.c1, self.c2, self.c3)
 
-    def is_exact(self) -> bool:
-        return all(isinstance(c, RationalComplex) for c in self.components())
-
-    def is_zero(self) -> bool:
-        return not any(bool(c) for c in self.components())
-
-    def __bool__(self):
-        return not self.is_zero()
+    def _from_scalar(self, value):
+        """A real or complex scalar (w is the scalar imaginary) as an element."""
+        try:
+            return Biquaternion(value)
+        except TypeError:
+            return NotImplemented
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return Biquaternion(
@@ -111,17 +115,8 @@ class Biquaternion:
     def __neg__(self):
         return Biquaternion(-self.c0, -self.c1, -self.c2, -self.c3)
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a0, a1, a2, a3 = self.components()
@@ -132,12 +127,6 @@ class Biquaternion:
             a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3,
             a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
         )
-
-    def __rmul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
 
     # -- Hamilton's q' + w*q'' form ---------------------------------------
 
@@ -189,7 +178,7 @@ class Biquaternion:
         d = self.det()
         if self.is_exact():
             return not d
-        return abs(complex(d)) <= NULLIFIER_RTOL * (1.0 + self.norm()) ** 2
+        return abs(complex(d)) <= NULLIFIC_RTOL * (1.0 + self.norm()) ** 2
 
     # -- bicomplex bridge ----------------------------------------------------
 
@@ -201,8 +190,6 @@ class Biquaternion:
 
     @staticmethod
     def from_bicomplex(a: Bicomplex) -> "Biquaternion":
-        from .scalars import make_complex
-
         return Biquaternion(make_complex(a.w, a.y), make_complex(a.x, a.z), 0, 0)
 
     # -- text form ------------------------------------------------------------
@@ -222,11 +209,10 @@ class Biquaternion:
     @staticmethod
     def parse(text: str) -> "Biquaternion":
         comps = {"": 0, "i": 0, "j": 0, "k": 0}
-        for sign, re_text, im_text, unit in _bq_terms(text):
-            re_v = parse_scalar(re_text)
-            im_v = parse_scalar(im_text) if im_text is not None else 0
-            value = RationalComplex(*(Fraction(v) for v in (re_v, im_v))) \
-                if is_exact(re_v) and is_exact(im_v) else complex(float(re_v), float(im_v))
+        for sign, m in scan_terms(text, _BQ_TERM_RE):
+            plain, unit = m.group("plain"), m.group("unit") or ""
+            parts = (plain, "0") if plain is not None else (m.group("re"), m.group("im"))
+            value = make_complex(*map(parse_scalar, parts))
             comps[unit] = comps[unit] + (-value if sign == "-" else value)
         return Biquaternion(comps[""], comps["i"], comps["j"], comps["k"])
 
@@ -247,34 +233,6 @@ _BQ_TERM_RE = re.compile(
         (?:\s*\*\s*(?P<unit>[ijk]))?\s*""",
     re.VERBOSE,
 )
-
-
-def _bq_terms(text: str):
-    pos, first = 0, True
-    text = text.strip()
-    if not text:
-        raise ValueError("empty element")
-    while pos < len(text):
-        m = _BQ_TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad element syntax at position {pos}: {text[pos:]!r}")
-        if not first and m.group("sign") is None:
-            raise ValueError(f"missing '+'/'-' before position {pos}")
-        sign = m.group("sign") or "+"
-        if m.group("plain") is not None:
-            yield sign, m.group("plain"), None, m.group("unit") or ""
-        else:
-            yield sign, m.group("re"), m.group("im"), m.group("unit") or ""
-        pos, first = m.end(), False
-
-
-def _coerce(value):
-    if isinstance(value, Biquaternion):
-        return value
-    try:
-        return Biquaternion(_coerce_component(value), 0, 0, 0)
-    except TypeError:
-        return NotImplemented
 
 
 ZERO = Biquaternion(0, 0, 0, 0)

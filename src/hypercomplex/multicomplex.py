@@ -33,29 +33,31 @@ operands (a scalar or a unit times an element) keep the direct sum over
 the subset rule, which costs one term per pair of nonzero coefficients and
 leaves float results bit for bit as they were; a plain number scales the
 coefficients, one term each.
+
+:meth:`Multicomplex.is_zero_divisor` applies the shared
+:func:`~hypercomplex.scalars.vanishing` rule to the spectrum.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from .bicomplex import Bicomplex
 from .scalars import (
     HALF,
+    Element,
     RationalComplex,
-    ZeroInput,
+    ZeroInput,  # re-exported
     binary_power,
     format_scalar,
-    is_exact,
+    is_real_scalar,
     make_complex,
     parse_scalar,
-    scalar_norm,
+    vanishing,
 )
 
 MAX_ORDER = 16
-NULLIFIC_RTOL = 1e-12
 
 
 class OrderMismatch(ValueError):
@@ -63,7 +65,7 @@ class OrderMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class Multicomplex:
+class Multicomplex(Element):
     order: int
     coeffs: tuple
 
@@ -93,14 +95,8 @@ class Multicomplex:
         coeffs[1 << index] = 1
         return Multicomplex(order, tuple(coeffs))
 
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
+    def components(self) -> tuple:
+        return self.coeffs
 
     def _check_order(self, other: "Multicomplex"):
         if self.order != other.order:
@@ -120,22 +116,10 @@ class Multicomplex:
     def __neg__(self):
         return Multicomplex(self.order, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (-self) + other
-
     def __mul__(self, other):
         n = self.order
         if not isinstance(other, Multicomplex):
-            if not _is_scalar(other):
+            if not is_real_scalar(other):
                 return NotImplemented
             # The direct sum below with Multicomplex.scalar(n, other), one
             # term per nonzero coefficient.
@@ -169,11 +153,12 @@ class Multicomplex:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
         n = self.order
-        if k < 2 or n < 3 or not _spectral_is_cheaper(self.coeffs, self.coeffs, n):
-            return binary_power(self, k, Multicomplex.scalar(n, 1))
+        if (
+            not isinstance(k, int) or k < 2 or n < 3
+            or not _spectral_is_cheaper(self.coeffs, self.coeffs, n)
+        ):
+            return super().__pow__(k)
         d, v = _integer_spectrum(self.coeffs, n)
         top = 1 << (n - 1)
         one = RationalComplex(1, 0)
@@ -182,10 +167,8 @@ class Multicomplex:
             v[s], v[s + top] = z.re, z.im
         return Multicomplex(n, _from_integer_spectrum(v, n, d**k))
 
-    def _coerce(self, value):
-        if isinstance(value, Multicomplex):
-            return value
-        if _is_scalar(value):
+    def _from_scalar(self, value):
+        if is_real_scalar(value):
             return Multicomplex.scalar(self.order, value)
         return NotImplemented
 
@@ -224,13 +207,7 @@ class Multicomplex:
 
     def is_zero_divisor(self) -> bool:
         """True iff some spectrum component vanishes (the nullific condition)."""
-        if self.is_zero():
-            raise ZeroInput("zero divisor test is undefined at zero")
-        spectrum = self.split()
-        if self.is_exact():
-            return any(not z for z in spectrum)
-        tol = NULLIFIC_RTOL * (1.0 + scalar_norm(self.coeffs))
-        return any(abs(z) <= tol for z in spectrum)
+        return any(vanishing(self.split(), self.coeffs))
 
     # -- bicomplex bridge -------------------------------------------------
 
@@ -263,12 +240,6 @@ class Multicomplex:
             "order": self.order,
             "coeffs": [format_scalar(c) for c in self.coeffs],
         }
-
-
-def _is_scalar(value) -> bool:
-    """A real coefficient.  A complex value, exact ``RationalComplex`` too, is
-    not one: the tower's imaginary units are basis elements, not scalars."""
-    return isinstance(value, (float, numbers.Rational))
 
 
 def _element(order: int, coeffs: tuple) -> Multicomplex:

@@ -37,10 +37,9 @@ from typing import Optional, Sequence
 
 from .bicomplex import Bicomplex, SplitPair
 from .multicomplex import Multicomplex, OrderMismatch, _common_denominator, _rational
-from .scalars import InvariantError, RationalComplex, scalar_norm
+from .scalars import SOLVE_RESIDUAL_RTOL, InvariantError, RationalComplex, scalar_norm
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
-SOLVE_RESIDUAL_RTOL = 1e-9   # recombined-root substitution check
 CLUSTER_RTOL = 1e-7          # multiplicity merge radius
 SNAP_DENOMINATOR = 10**6
 
@@ -269,6 +268,17 @@ def _strip(coeffs: list) -> list:
     return coeffs
 
 
+def _trimmed(coeffs) -> list:
+    """Degree-ascending algebra coefficients without vanishing leading ones;
+    the polynomial must have degree 1 or more."""
+    cs = _strip(list(coeffs))
+    if not cs:
+        raise ZeroPolynomial("all coefficients are zero")
+    if len(cs) < 2:
+        raise ValueError("polynomial degree must be at least 1")
+    return cs
+
+
 # ---------------------------------------------------------------------------
 # polynomials over the split algebras
 
@@ -280,14 +290,7 @@ class BicomplexPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = list(self.coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        if not cs:
-            raise ZeroPolynomial("all coefficients are zero")
-        if len(cs) < 2:
-            raise ValueError("polynomial degree must be at least 1")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trimmed(self.coeffs)))
 
     @property
     def degree(self) -> int:
@@ -334,13 +337,7 @@ def solve(p: BicomplexPoly) -> RootSet:
 
 def mc_solve(coeffs: Sequence[Multicomplex], order: Optional[int] = None) -> RootSet:
     """Multicomplex analogue of :func:`solve` with 2**(n-1) components."""
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    if not cs:
-        raise ZeroPolynomial("all coefficients are zero")
-    if len(cs) < 2:
-        raise ValueError("polynomial degree must be at least 1")
+    cs = _trimmed(coeffs)
     n = cs[0].order if order is None else order
     for c in cs:
         if c.order != n:

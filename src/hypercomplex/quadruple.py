@@ -18,6 +18,9 @@ cotessarines) and "abnormal" otherwise.  The multiplicative norm form is
 the determinant of the left-multiplication matrix; for quaternions it is
 (w^2+x^2+y^2+z^2)^2 and for coquaternions (w^2+x^2-y^2-z^2)^2, whose
 vanishing locus exhibits the split system's zero divisors.
+
+A real number acts on a :class:`QuadElement` as a multiple of 1, the
+identity of every derived table.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .scalars import InvariantError, format_scalar
+from .scalars import Element, InvariantError, format_scalar, is_real_scalar
 
 BASIS_NAMES = ("1", "a", "b", "c")
 
@@ -35,7 +38,9 @@ _SIGNED_UNITS = tuple(
     (sign, idx) for idx in range(4) for sign in (1, -1)
 )
 
-_UNKNOWN_SLOTS = ((2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3))
+# The six products that a**2, b**2 and ab = c leave open, by name.
+_SLOT_NAMES = {"ba": (2, 1), "ac": (1, 3), "ca": (3, 1), "bc": (2, 3), "cb": (3, 2), "cc": (3, 3)}
+_UNKNOWN_SLOTS = tuple(_SLOT_NAMES.values())
 _NONTRIVIAL_TRIPLES = tuple(itertools.product((1, 2, 3), repeat=3))
 
 
@@ -204,8 +209,6 @@ _NAMED_SYSTEMS = {
     ),
 }
 
-_SLOT_NAMES = {"ba": (2, 1), "ac": (1, 3), "ca": (3, 1), "bc": (2, 3), "cb": (3, 2), "cc": (3, 3)}
-
 SYSTEM_NAMES = tuple(_NAMED_SYSTEMS)
 
 
@@ -219,11 +222,11 @@ def named_table(name: str) -> CayleyTable:
     for table in derive_table(sig):
         if all(table.entry(*_SLOT_NAMES[slot]) == value for slot, value in relations.items()):
             return table
-    raise AssertionError(f"derivation failed to reproduce the {name} table")
+    raise InvariantError(f"derivation failed to reproduce the {name} table")
 
 
 @dataclass(frozen=True)
-class QuadElement:
+class QuadElement(Element):
     """w + x*a + y*b + z*c over a fixed Cayley table."""
 
     w: object
@@ -235,21 +238,30 @@ class QuadElement:
     def components(self):
         return (self.w, self.x, self.y, self.z)
 
+    def _from_scalar(self, value):
+        if is_real_scalar(value):
+            return QuadElement(value, 0, 0, 0, table=self.table)
+        return NotImplemented
+
     def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check(other)
         return QuadElement(
             self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z,
             table=self.table,
         )
 
+    __radd__ = __add__
+
     def __neg__(self):
         return QuadElement(-self.w, -self.x, -self.y, -self.z, table=self.table)
 
-    def __sub__(self, other):
-        self._check(other)
-        return self + (-other)
-
     def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check(other)
         out = [0, 0, 0, 0]
         mine = self.components()
@@ -265,13 +277,8 @@ class QuadElement:
         return QuadElement(*out, table=self.table)
 
     def _check(self, other):
-        if not isinstance(other, QuadElement):
-            raise TypeError(f"expected QuadElement, got {type(other).__name__}")
         if other.table.entries != self.table.entries:
             raise TableMismatch("elements belong to different quadruple systems")
-
-    def is_zero(self) -> bool:
-        return not any(self.components())
 
     def left_mul_matrix(self):
         """4x4 matrix of left multiplication by self, columns = images of basis."""

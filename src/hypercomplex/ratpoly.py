@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .scalars import InvariantError
+
 Poly = tuple
 
 
@@ -92,7 +94,7 @@ def deflate(p: Poly, root: Fraction) -> Poly:
         acc = acc * root + c
         out.append(acc)
     if out[-1] != 0:
-        raise ValueError(f"{root} is not a root")
+        raise InvariantError(f"deflation by a non-root {root}")
     return tuple(reversed(out[:-1]))
 
 

@@ -10,6 +10,10 @@ every ingredient is exact.
 number whose real and imaginary parts are exact rationals.  It exposes the
 same ``.real``/``.imag``/``.conjugate()`` surface as the builtin ``complex``
 so the two can be used interchangeably by the split/decomposition code.
+
+:class:`Element` gives the four element classes their shared operators;
+:func:`vanishing` is their one zero-divisor rule and :func:`scan_terms`
+their one scanner for literals.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
+
+NULLIFIC_RTOL = 1e-12        # float zero-divisor test, see :func:`vanishing`
+SOLVE_RESIDUAL_RTOL = 1e-9   # substitution check of a computed solution
 
 
 class ZeroInput(ValueError):
@@ -40,6 +47,12 @@ def is_exact(value) -> bool:
     if isinstance(value, complex):
         return False
     return isinstance(value, numbers.Rational)
+
+
+def is_real_scalar(value) -> bool:
+    """A real coefficient; a complex value, exact ``RationalComplex`` too, is
+    not one, since the split algebras' imaginary units are basis elements."""
+    return isinstance(value, (float, numbers.Rational))
 
 
 HALF = Fraction(1, 2)  # Fraction * float -> float, so this is backend-neutral
@@ -62,6 +75,51 @@ def binary_power(base, n: int, one):
         base = base * base
 
 
+class Element:
+    """Operators shared by the element classes.  A subclass supplies
+    ``components``, ``__add__``, ``__neg__``, ``__mul__`` and ``_from_scalar``,
+    a scalar as an element of self's algebra or NotImplemented."""
+
+    def is_exact(self) -> bool:
+        return all(is_exact(c) for c in self.components())
+
+    def is_zero(self) -> bool:
+        return not any(self.components())
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def _coerce(self, value):
+        """``value`` as an element of self's algebra, or NotImplemented."""
+        if isinstance(value, self.__class__):
+            return value
+        return self._from_scalar(value)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (-self) + other
+
+    def __rmul__(self, other):
+        """The scalar stays on the left, as noncommutative algebras need."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers")
+        return binary_power(self, n, self._from_scalar(1))
+
+
 @dataclass(frozen=True)
 class RationalComplex:
     """Complex number with exact rational real and imaginary parts."""
@@ -71,11 +129,10 @@ class RationalComplex:
 
     @staticmethod
     def coerce(value) -> "RationalComplex":
-        if isinstance(value, RationalComplex):
-            return value
-        if isinstance(value, numbers.Rational):
-            return RationalComplex(Fraction(value), Fraction(0))
-        raise TypeError(f"cannot coerce {value!r} to RationalComplex")
+        out = _exact(value)
+        if out is NotImplemented:
+            raise TypeError(f"cannot coerce {value!r} to RationalComplex")
+        return out
 
     # .real/.imag mirror the builtin complex API.
     @property
@@ -92,7 +149,9 @@ class RationalComplex:
     def __add__(self, other):
         if isinstance(other, (complex, float)):
             return complex(self) + other
-        other = RationalComplex.coerce(other)
+        other = _exact(other)
+        if other is NotImplemented:
+            return NotImplemented
         return RationalComplex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -109,7 +168,9 @@ class RationalComplex:
     def __mul__(self, other):
         if isinstance(other, (complex, float)):
             return complex(self) * other
-        other = RationalComplex.coerce(other)
+        other = _exact(other)
+        if other is NotImplemented:
+            return NotImplemented
         return RationalComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -120,7 +181,9 @@ class RationalComplex:
     def __truediv__(self, other):
         if isinstance(other, (complex, float)):
             return complex(self) / other
-        other = RationalComplex.coerce(other)
+        other = _exact(other)
+        if other is NotImplemented:
+            return NotImplemented
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero RationalComplex")
@@ -130,7 +193,12 @@ class RationalComplex:
         )
 
     def __rtruediv__(self, other):
-        return RationalComplex.coerce(other) / self
+        if isinstance(other, (complex, float)):
+            return other / complex(self)
+        other = _exact(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -165,6 +233,15 @@ class RationalComplex:
 
     def __repr__(self):
         return f"RationalComplex({self.re!s}, {self.im!s})"
+
+
+def _exact(value):
+    """``value`` as a RationalComplex, or NotImplemented for other types."""
+    if isinstance(value, RationalComplex):
+        return value
+    if isinstance(value, numbers.Rational):
+        return RationalComplex(Fraction(value), Fraction(0))
+    return NotImplemented
 
 
 def make_complex(re, im):
@@ -210,3 +287,33 @@ def format_scalar(value) -> str:
 def scalar_norm(values) -> float:
     """Euclidean size of a coefficient vector, for float tolerances."""
     return math.sqrt(sum(float(v) * float(v) for v in values))
+
+
+def vanishing(spectrum, coeffs) -> list:
+    """Which spectrum components of the element with coefficients ``coeffs``
+    vanish: exactly when every coefficient is exact, else within
+    ``NULLIFIC_RTOL * (1 + ||coeffs||)``.  Undefined at 0, so it raises."""
+    if not any(coeffs):
+        raise ZeroInput("zero divisor test is undefined at zero")
+    if all(is_exact(c) for c in coeffs):
+        return [not z for z in spectrum]
+    tol = NULLIFIC_RTOL * (1.0 + scalar_norm(coeffs))
+    return [abs(z) <= tol for z in spectrum]
+
+
+def scan_terms(text: str, pattern):
+    """Yield (sign, match) for each term of a signed-sum literal such as
+    ``1 - 2*i + h``; ``pattern`` matches one term and names its optional
+    leading sign ``sign``.  Every term after the first needs a sign."""
+    pos, first = 0, True
+    text = text.strip()
+    if not text:
+        raise ValueError("empty element")
+    while pos < len(text):
+        m = pattern.match(text, pos)
+        if not m or m.end() == pos:
+            raise ValueError(f"bad element syntax at position {pos}: {text[pos:]!r}")
+        if not first and m.group("sign") is None:
+            raise ValueError(f"missing '+'/'-' before position {pos}")
+        yield m.group("sign") or "+", m
+        pos, first = m.end(), False

@@ -38,6 +38,11 @@ class TestBc:
         assert code == 1
         assert "not invertible" in err
 
+    def test_ideal_of_zero_prints_zero(self):
+        assert run("bc", "ideal", "0") == (0, "Zero\n", "")
+        code, out, _ = run("bc", "ideal", "0 + 0*k", "--format", "json")
+        assert (code, json.loads(out)) == (0, {"schema": "1", "ideal": "Zero"})
+
     def test_bad_element_exits_two(self):
         code, _, err = run("bc", "mul", "1 + foo", "1")
         assert code == 2

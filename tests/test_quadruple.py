@@ -107,6 +107,11 @@ class TestDerivation:
         with pytest.raises(InvariantError, match="not associative"):
             derive_table(QuadSignature(-1, -1))
 
+    def test_named_system_missing_from_its_derived_tables_raises(self, monkeypatch):
+        monkeypatch.setattr("hypercomplex.quadruple.derive_table", lambda sig: [])
+        with pytest.raises(InvariantError, match="quaternion table"):
+            named_table.__wrapped__("quaternion")  # uncached
+
 
 class TestElements:
     def test_identity(self):

@@ -149,6 +149,12 @@ class TestStockEquation:
         with pytest.raises(InvariantError, match="rationalize"):
             stock_equation(parse_surd("1 + sqrt(x) = 0"))
 
+    def test_deflating_a_non_root_raises(self, monkeypatch):
+        # A root check that passes everything hands deflate a non-root.
+        monkeypatch.setattr(rp, "evaluate", lambda p, x: 0)
+        with pytest.raises(InvariantError, match="non-root"):
+            rp.rational_roots(poly(-2, 0, 1))
+
     def test_vanished_stock_raises(self):
         # The parser rejects equations without a radical; built directly,
         # the empty equation has the zero stock polynomial.
