@@ -43,14 +43,27 @@ COMPUTATIONAL_ERRORS = (
 )
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reads an argument such as ``-1/2`` or ``-x+sqrt(x)=0`` as a value unless
+    it starts with ``--`` or with one of its single-dash options (``-h``)."""
+
+    def _parse_optional(self, arg_string):
+        shorts = [o for o in self._option_string_actions if not o.startswith("--")]
+        if arg_string.startswith(("--", *shorts)):
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercomplex",
         description="Exact computer algebra for bicomplex/tessarine numbers, "
         "the multicomplex tower, quadruple algebras, biquaternions, and "
         "congeneric surd equations.",
+        epilog="An element or equation may start with '-', as in "
+        "'bc mul -1/2 1'; one that starts with '-h' needs '--' before it.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("bc", help="bicomplex (tessarine) arithmetic")
     p.add_argument(

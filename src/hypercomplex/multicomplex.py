@@ -40,7 +40,6 @@ coefficients, one term each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .bicomplex import Bicomplex
@@ -50,6 +49,7 @@ from .scalars import (
     RationalComplex,
     ZeroInput,  # re-exported
     binary_power,
+    common_denominator,
     format_scalar,
     is_real_scalar,
     make_complex,
@@ -201,7 +201,7 @@ class Multicomplex(Element):
             v[s] = z.real
             v[s + top] = z.imag
         if _rational(v):
-            d, v = _common_denominator(v)
+            d, v = common_denominator(v)
             return Multicomplex(order, _from_integer_spectrum(v, order, d))
         return Multicomplex(order, tuple(_unbutterfly(v, order, _half)))
 
@@ -322,16 +322,9 @@ def _unbutterfly(v: list, order: int, half=None) -> list:
     return v
 
 
-def _common_denominator(values) -> tuple:
-    """(d, [d * x for x in values]) for exact values, d their least common
-    denominator, so the list holds ints."""
-    d = math.lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
-
-
 def _integer_spectrum(coeffs, order: int) -> tuple:
     """(d, v): v the butterfly of d times the exact coefficients, all ints."""
-    d, ints = _common_denominator(coeffs)
+    d, ints = common_denominator(coeffs)
     return d, _butterfly(ints, order)
 
 

@@ -15,7 +15,8 @@ The complex root finder is Aberth-Ehrlich simultaneous iteration with a
 Cauchy-bound initial circle, falling back to companion-matrix eigenvalues
 when it stalls.  Roots of exact-coefficient components are snapped back to
 Gaussian rationals whenever exact substitution confirms them, so rational
-root sets (and their residuals) come out exactly zero.
+root sets (and their residuals) come out exactly zero.  The snap-and-deflate
+loop is :func:`ratpoly.exact_roots`, shared with ``surd``.
 
 Both exact checks run on scaled Gaussian integers, not on ``Fraction``s.
 A degree-n polynomial is scaled once by the common denominator D of its
@@ -36,12 +37,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bicomplex import Bicomplex, SplitPair
-from .multicomplex import Multicomplex, OrderMismatch, _common_denominator, _rational
-from .scalars import SOLVE_RESIDUAL_RTOL, InvariantError, RationalComplex, scalar_norm
+from .multicomplex import Multicomplex, OrderMismatch, _rational
+from .ratpoly import SNAP_DENOMINATOR, exact_roots, vanishes_at
+from .scalars import SOLVE_RESIDUAL_RTOL, RationalComplex, common_denominator, scalar_norm
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
 CLUSTER_RTOL = 1e-7          # multiplicity merge radius
-SNAP_DENOMINATOR = 10**6
 
 
 class ZeroPolynomial(ValueError):
@@ -172,51 +173,11 @@ def _merge_clusters(roots: list[complex]) -> list[complex]:
 _SNAP_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 100, 1000, SNAP_DENOMINATOR)
 
 
-def _gaussian_integers(coeffs) -> list:
-    """The (re, im) int pairs of D*c for exact complex coefficients c, D
-    their common denominator: D*p has Gaussian-integer coefficients."""
-    _, ints = _common_denominator([part for c in coeffs for part in (c.real, c.imag)])
-    return list(zip(ints[::2], ints[1::2]))
-
-
-def _vanishes_at(scaled, re: Fraction, im: Fraction) -> bool:
-    """Whether p(re + im*i) = 0 exactly, p given by :func:`_gaussian_integers`.
-
-    With x = (a + b*i)/d, D * d**n * p(x) = sum C_k (a + b*i)**k d**(n-k),
-    so Horner on Python ints decides it: O(n) Gaussian-integer
-    multiply-adds and no gcd normalisation.
-    """
-    d = math.lcm(re.denominator, im.denominator)
-    a = re.numerator * (d // re.denominator)
-    b = im.numerator * (d // im.denominator)
-    acc_re, acc_im = scaled[-1]
-    scale = 1
-    for c_re, c_im in reversed(scaled[:-1]):
-        scale *= d
-        acc_re, acc_im = (
-            acc_re * a - acc_im * b + c_re * scale,
-            acc_re * b + acc_im * a + c_im * scale,
-        )
-    return not (acc_re or acc_im)
-
-
-def _deflate_exact(coeffs, root: RationalComplex) -> list:
-    """Exact synthetic division by (z - root); the remainder must vanish."""
-    quotient_desc = []
-    acc = RationalComplex(Fraction(0))
-    for c in reversed(coeffs[1:]):
-        acc = acc * root + c
-        quotient_desc.append(acc)
-    if acc * root + coeffs[0]:
-        raise InvariantError(f"deflation by a non-root {root}")
-    return list(reversed(quotient_desc))
-
-
 def _snap_candidate(root: complex, scaled) -> Optional[RationalComplex]:
     """Gaussian-rational value near a float root that exactly annihilates the
-    polynomial given by :func:`_gaussian_integers`; small denominators first,
-    so float noise around a multiple rational root still lands on it.  Exact
-    verification rules out false hits."""
+    polynomial given by :func:`ratpoly.gaussian_integers`; small denominators
+    first, so float noise around a multiple rational root still lands on it.
+    Exact verification rules out false hits."""
     re, im = Fraction(root.real), Fraction(root.imag)
     seen = set()
     for d in _SNAP_DENOMINATORS:
@@ -224,7 +185,7 @@ def _snap_candidate(root: complex, scaled) -> Optional[RationalComplex]:
         if candidate in seen:
             continue
         seen.add(candidate)
-        if _vanishes_at(scaled, *candidate):
+        if vanishes_at(scaled, *candidate):
             return RationalComplex(*candidate)
     return None
 
@@ -233,33 +194,15 @@ def _component_roots(coeffs) -> list:
     """Roots of one split-component polynomial, exact where provable.
 
     Exact-coefficient components get their Gaussian-rational roots pulled
-    out by exact deflation (with true multiplicity); only the remaining
-    rational-root-free part is left to the numeric finder.
+    out by :func:`ratpoly.exact_roots` (with true multiplicity); only the
+    remaining rational-root-free part is left to the numeric finder.
     """
     if len(coeffs) <= 1:
         return []
     if not all(isinstance(c, RationalComplex) for c in coeffs):
         return complex_roots(coeffs)
-
-    exact_roots: list[RationalComplex] = []
-    current = list(coeffs)
-    scaled = _gaussian_integers(current)
-    numeric = complex_roots(current)
-    while True:
-        hit = None
-        for r in numeric:
-            hit = _snap_candidate(r, scaled)
-            if hit is not None:
-                break
-        if hit is None:
-            return exact_roots + numeric
-        while len(current) >= 2 and _vanishes_at(scaled, hit.re, hit.im):
-            exact_roots.append(hit)
-            current = _deflate_exact(current, hit)
-            scaled = _gaussian_integers(current)
-        if len(current) < 2:
-            return exact_roots
-        numeric = complex_roots(current)
+    exact, numeric = exact_roots(coeffs, complex_roots, _snap_candidate)
+    return exact + numeric
 
 
 def _strip(coeffs: list) -> list:
@@ -386,13 +329,13 @@ def _substitution(coeffs):
     exact = all(_rational(parts(c)) for c in coeffs)
     if exact:
         width = len(parts(coeffs[0]))
-        denominator, ints = _common_denominator([x for c in coeffs for x in parts(c)])
+        denominator, ints = common_denominator([x for c in coeffs for x in parts(c)])
         scaled = [element(ints[k:k + width]) for k in range(0, len(ints), width)]
 
     def residual(root) -> float:
         if not (exact and _rational(parts(root))):
             return scalar_norm(parts(_horner(coeffs, root)))
-        d, ints = _common_denominator(parts(root))
+        d, ints = common_denominator(parts(root))
         x = element(ints)
         acc = scaled[-1]
         scale = 1

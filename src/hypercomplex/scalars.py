@@ -284,6 +284,13 @@ def format_scalar(value) -> str:
     return str(value)
 
 
+def common_denominator(values) -> tuple:
+    """(d, [d * x for x in values]) for exact values, d their least common
+    denominator, so the list holds ints."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 def scalar_norm(values) -> float:
     """Euclidean size of a coefficient vector, for float tolerances."""
     return math.sqrt(sum(float(v) * float(v) for v in values))

@@ -385,13 +385,9 @@ def classify_roots(eq: SurdEquation) -> CongenerReport:
         raise InvariantError("stock equation vanished for a valid surd equation")
     all_congeners = congeners(eq)
 
-    rational, remainder = rp.rational_roots(stock)
-    real_roots: list = sorted(set(rational))
-    complex_roots: list = []
-    if rp.degree(remainder) >= 1:
-        numeric_real, numeric_complex = rp.real_and_complex_roots(remainder)
-        real_roots.extend(sorted(numeric_real))
-        complex_roots.extend(numeric_complex)
+    rational, numeric = rp.rational_roots(stock)
+    numeric_real, complex_roots = rp.real_and_complex_roots(numeric)
+    real_roots: list = sorted(set(rational)) + sorted(numeric_real)
 
     reports: list[RootReport] = []
     for root in real_roots:

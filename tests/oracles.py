@@ -248,3 +248,94 @@ def table_is_associative(entry):
                 if lhs != rhs:
                     return False
     return True
+
+
+# The two snap-and-deflate loops the package ran before it had one exact-root
+# extractor: the rational loop behind the surd stock roots, and the
+# Gaussian-rational loop of the split-component solver.  Each checks a
+# candidate by Horner in Fraction (or exact complex) arithmetic and divides
+# by its own synthetic division.  Kept as references for the exact roots
+# found and for the bits of the numeric roots left over.
+
+_SNAP_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 100, 1000, 10**6)
+
+
+def _exact_horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _synthetic_division(coeffs, root):
+    quotient, acc = [], 0
+    for c in reversed(coeffs[1:]):
+        acc = acc * root + c
+        quotient.append(acc)
+    if acc * root + coeffs[0]:
+        raise ValueError(f"{root} is no root")
+    return list(reversed(quotient))
+
+
+def _numpy_roots(coeffs):
+    import numpy as np
+
+    return [complex(r) for r in np.roots([float(c) for c in reversed(coeffs)])]
+
+
+def reference_rational_roots(coeffs):
+    """(rational roots with multiplicity, numeric roots of the remainder) of
+    an exact real polynomial without trailing zeros, the remainder's roots
+    taken by a second ``np.roots`` call as the surd classifier did."""
+    roots, rem = [], list(coeffs)
+    while len(rem) >= 2:
+        hit = None
+        for r in _numpy_roots(rem):
+            if abs(r.imag) > 1e-6 * (1 + abs(r.real)):
+                continue
+            candidate = Fraction(r.real).limit_denominator(10**6)
+            if _exact_horner(rem, candidate) == 0:
+                hit = candidate
+                break
+        if hit is None:
+            break
+        while len(rem) >= 2 and _exact_horner(rem, hit) == 0:
+            roots.append(hit)
+            rem = _synthetic_division(rem, hit)
+    return roots, (_numpy_roots(rem) if len(rem) >= 2 else [])
+
+
+def _snap_gaussian(z, coeffs):
+    re, im = Fraction(z.real), Fraction(z.imag)
+    seen = set()
+    for d in _SNAP_DENOMINATORS:
+        candidate = (re.limit_denominator(d), im.limit_denominator(d))
+        if candidate in seen:
+            continue
+        seen.add(candidate)
+        x = RationalComplex(*candidate)
+        if not _exact_horner(coeffs, x):
+            return x
+    return None
+
+
+def reference_gaussian_roots(coeffs, numeric_roots):
+    """(Gaussian-rational roots with multiplicity, numeric roots of the
+    remainder) of a polynomial with RationalComplex coefficients and degree
+    1 or more, ``numeric_roots`` the complex root finder."""
+    exact, rem = [], list(coeffs)
+    numeric = numeric_roots(rem)
+    while True:
+        hit = None
+        for r in numeric:
+            hit = _snap_gaussian(r, rem)
+            if hit is not None:
+                break
+        if hit is None:
+            return exact, numeric
+        while len(rem) >= 2 and not _exact_horner(rem, hit):
+            exact.append(hit)
+            rem = _synthetic_division(rem, hit)
+        if len(rem) < 2:
+            return exact, []
+        numeric = numeric_roots(rem)

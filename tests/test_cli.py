@@ -195,6 +195,34 @@ class TestSurd:
         assert "position" in err
 
 
+class TestLeadingMinus:
+    """A value that starts with one '-' is read as a value, with the same
+    bytes as after '--'; only the subcommand's own '-h' stays an option."""
+
+    @pytest.mark.parametrize(
+        "argv, at, expected",
+        [
+            (("bc", "mul", "-1/2", "1"), 2, "-1/2"),
+            (("mc", "--order", "2", "add", "-1,2,3,4", "1,0,0,0"), 4, "0,2,3,4"),
+            (("surd", "analyze", "-x+sqrt(x+2)=0"), 2, "root -1 -> congeners [1]"),
+        ],
+        ids=["bc", "mc", "surd"],
+    )
+    def test_value_matches_double_dash_form(self, argv, at, expected):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert expected in out.splitlines()
+        assert run(*argv[:at], "--", *argv[at:]) == (code, out, err)
+
+    def test_help_and_unknown_long_option_stay_options(self):
+        code, out, _ = run("bc", "mul", "-h", "1")
+        assert code == 0
+        assert out.startswith("usage: hypercomplex bc")
+        code, _, err = run("surd", "analyze", "x + sqrt(x) = 1", "--jsn")
+        assert code == 2
+        assert "unrecognized arguments: --jsn" in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -1,0 +1,94 @@
+"""``ratpoly.exact_roots``, the one snap-and-deflate loop of the package.
+
+Both of its callers find the exact roots the two loops it replaced found
+(kept in ``oracles``), and leave the same numeric roots, bit for bit; the
+numeric finder runs once on each polynomial it is handed.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hypercomplex import polysolve, surd
+from hypercomplex import ratpoly as rp
+from hypercomplex.scalars import RationalComplex
+
+from oracles import reference_gaussian_roots, reference_rational_roots
+from strategies import small_fractions
+
+nonzero_fractions = small_fractions.filter(bool)
+planted = st.lists(st.tuples(small_fractions, st.integers(1, 3)), max_size=3)
+gaussian_rationals = st.builds(RationalComplex, small_fractions, small_fractions)
+gaussian_planted = st.lists(st.tuples(gaussian_rationals, st.integers(1, 3)), max_size=3)
+
+# factors without rational (or Gaussian-rational) roots, ascending
+IRRATIONAL_FACTORS = ((-2, 0, 1), (1, 1, 1), (1, -3, 1), (-2, 0, 0, 1), (3, 0, 1))
+
+
+def times_roots(coeffs, roots):
+    """Ascending coefficients of p(x) * prod (x - r)."""
+    for r in roots:
+        coeffs = (
+            [-r * coeffs[0]]
+            + [coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))]
+            + [coeffs[-1]]
+        )
+    return coeffs
+
+
+def expand(lead, factor, roots):
+    cs = [lead * c for c in factor]
+    return times_roots(cs, [r for r, m in roots for _ in range(m)])
+
+
+def outcome(extract, *args):
+    """(exact roots, float bits of the numeric roots), or the error raised."""
+    try:
+        exact, numeric = extract(*args)
+    except polysolve.NoConvergence as exc:
+        return "NoConvergence", str(exc)
+    return exact, [(z.real.hex(), z.imag.hex()) for z in numeric]
+
+
+class TestSameAsTheLoopsItReplaced:
+    @settings(max_examples=150, deadline=None)
+    @given(nonzero_fractions, st.sampled_from(IRRATIONAL_FACTORS), planted)
+    def test_rational_roots(self, lead, factor, roots):
+        p = tuple(expand(lead, [Fraction(c) for c in factor], roots))
+        assert outcome(rp.rational_roots, p) == outcome(reference_rational_roots, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gaussian_rationals.filter(bool),
+        st.sampled_from(IRRATIONAL_FACTORS + ((1,),)),
+        gaussian_planted,
+    )
+    def test_gaussian_component_roots(self, lead, factor, roots):
+        coeffs = expand(lead, [RationalComplex(Fraction(c)) for c in factor], roots)
+        assume(len(coeffs) >= 2)
+        assert outcome(
+            rp.exact_roots, coeffs, polysolve.complex_roots, polysolve._snap_candidate
+        ) == outcome(reference_gaussian_roots, coeffs, polysolve.complex_roots)
+
+
+def test_classify_roots_runs_numpy_once_per_remainder(monkeypatch):
+    calls = []
+    original = rp.numpy_roots
+    monkeypatch.setattr(rp, "numpy_roots", lambda p: calls.append(tuple(p)) or original(p))
+    # stock x**3 - x**2 + 2*x: 0 snaps, x**2 - x + 2 keeps a complex pair
+    report = surd.classify_roots(surd.parse_surd("x + sqrt(x^3 + 1) = 1"))
+    assert report.stock == (0, 2, -1, 1)
+    assert calls == [(0, 2, -1, 1), (2, -1, 1)]
+    assert [r.exact for r in report.roots] == [True, False, False]
+
+
+def test_constant_polynomials_call_no_finder():
+    def finder(p):
+        raise AssertionError("numeric finder called")
+
+    def snap(r, scaled):
+        raise AssertionError("snap called")
+
+    for p in ((), (Fraction(3),), (RationalComplex(Fraction(1), Fraction(2)),)):
+        assert rp.exact_roots(p, finder, snap) == ([], [])

@@ -30,12 +30,12 @@ from hypercomplex.polysolve import (
 from hypercomplex.polysolve import (
     _SNAP_DENOMINATORS,
     _component_roots,
-    _deflate_exact,
-    _gaussian_integers,
     _snap_candidate,
     _substitution,
-    _vanishes_at,
 )
+from hypercomplex.ratpoly import deflate
+from hypercomplex.ratpoly import gaussian_integers as _gaussian_integers
+from hypercomplex.ratpoly import vanishes_at as _vanishes_at
 from hypercomplex.scalars import InvariantError, RationalComplex, scalar_norm
 
 from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
@@ -276,7 +276,7 @@ class TestExactDeflation:
         # 1 is no root of z**2 + 1
         coeffs = [RationalComplex(Fraction(c)) for c in (1, 0, 1)]
         with pytest.raises(InvariantError, match="non-root"):
-            _deflate_exact(coeffs, RationalComplex(Fraction(1)))
+            deflate(coeffs, RationalComplex(Fraction(1)))
 
 
 # -- exact checks on scaled Gaussian integers ---------------------------------

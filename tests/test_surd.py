@@ -151,7 +151,7 @@ class TestStockEquation:
 
     def test_deflating_a_non_root_raises(self, monkeypatch):
         # A root check that passes everything hands deflate a non-root.
-        monkeypatch.setattr(rp, "evaluate", lambda p, x: 0)
+        monkeypatch.setattr(rp, "vanishes_at", lambda scaled, re, im: True)
         with pytest.raises(InvariantError, match="non-root"):
             rp.rational_roots(poly(-2, 0, 1))
 
