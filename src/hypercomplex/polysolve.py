@@ -82,10 +82,10 @@ def complex_roots(coeffs: Sequence) -> list[complex]:
     if len(cs) == 2:
         roots.append(-cs[0] / cs[1])
     elif len(cs) > 2:
-        found = _aberth(cs)
-        if found is None or any(abs(_horner(cs, r)) > tol for r in found):
+        found = _aberth(cs)  # None unless every root meets tol
+        if found is None:
             found = _companion_roots(cs)
-            bad = [abs(_horner(cs, r)) for r in found if abs(_horner(cs, r)) > tol]
+            bad = [res for res in (abs(_horner(cs, r)) for r in found) if res > tol]
             if bad:
                 raise NoConvergence(
                     f"root finder stalled: worst residual {max(bad):.3e} "
@@ -369,9 +369,10 @@ def _solve_components(comps, recompose, residual_of, sort_key, coeff_norms) -> R
         combos = [prefix + [r] for prefix in combos for r in lst]
 
     tol = SOLVE_RESIDUAL_RTOL * (1.0 + max(coeff_norms))
-    roots, residuals = [], []
+    roots, residuals, keys = [], [], []
     for combo in combos:
-        if all(isinstance(z, RationalComplex) for z in combo):
+        exact = all(isinstance(z, RationalComplex) for z in combo)
+        if exact:
             root = recompose(combo)
         else:
             root = recompose([complex(z) for z in combo])
@@ -382,8 +383,10 @@ def _solve_components(comps, recompose, residual_of, sort_key, coeff_norms) -> R
             )
         roots.append(root)
         residuals.append(residual)
+        # an exact root splits back into its combination exactly
+        keys.append(_float_key(combo) if exact else sort_key(root))
 
-    order = sorted(range(len(roots)), key=lambda idx: sort_key(roots[idx]))
+    order = sorted(range(len(roots)), key=keys.__getitem__)
     return RootSet(
         kind="Finite",
         counts=counts,

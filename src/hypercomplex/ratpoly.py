@@ -60,7 +60,7 @@ def sub(p: Poly, q: Poly) -> Poly:
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [p[0] * 0] * (len(p) + len(q) - 1)   # ints stay ints, Fractions stay Fractions
     for i, a in enumerate(p):
         if not a:
             continue

@@ -12,6 +12,15 @@ congener that receives no real root is *impossible* -- it has no root at
 all, real or complex.  n congeners producing a stock equation of degree m
 give the surd equation fractional order m/n (reported unreduced).
 
+The product is built as a tower of relative norms, F <- F*sigma_m(F) for
+m = 1..n, sigma_m flipping the sign of radical m: after step m the element
+is fixed by sigma_1..sigma_m, so after n steps it is rational, and it is
+the product of all 2**n congeners (the norm is transitive in the
+multiquadratic extension).  That is n ring products instead of 2**n.  They
+run on integer polynomials: with e_m the denominator of R_m, t_m = e_m*s_m
+satisfies t_m**2 = e_m**2*R_m, one common denominator clears the
+coefficients of F, and the content comes off once at the end.
+
 Grammar (recursive descent, exact rational literals only)::
 
     equation := expr '=' expr
@@ -32,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from . import ratpoly as rp
-from .scalars import InvariantError
+from .scalars import InvariantError, common_denominator
 
 MAX_RADICALS = 4
 MAX_RADICAND_DEGREE = 8
@@ -316,17 +325,24 @@ def congeners(eq: SurdEquation) -> list[SurdEquation]:
 
 def stock_equation(eq: SurdEquation) -> tuple:
     """Product of all congeners in Q[x, s_m]/(s_m**2 - R_m): radical-free,
-    content-free, positive leading coefficient."""
-    radicands = [t.radicand for t in eq.terms]
-    product: dict[int, tuple] = {0: (Fraction(1),)}
-    for congener in congeners(eq):
-        element: dict[int, tuple] = {}
-        if congener.base:
-            element[0] = congener.base
-        for m, t in enumerate(congener.terms):
-            signed_q = rp.scale(t.coeff, t.sign)
-            element[1 << m] = rp.add(element.get(1 << m, ()), signed_q)
-        product = _quotient_mul(product, element, radicands)
+    content-free, positive leading coefficient.
+
+    The tower of relative norms of the module docstring, on F =
+    D*(base + sum sign*Q_m/e_m * t_m), whose coefficients are ints for D
+    their common denominator.  sigma_m negates the keys that hold bit m.
+    """
+    radicands = []
+    element: dict[int, tuple] = {0: eq.base}
+    for m, t in enumerate(eq.terms):
+        e, ints = common_denominator(t.radicand)
+        radicands.append(tuple(e * v for v in ints))
+        element[1 << m] = rp.scale(t.coeff, Fraction(t.sign, e))
+    _, ints = common_denominator([c for p in element.values() for c in p])
+    flat = iter(ints)
+    product = {k: tuple(itertools.islice(flat, len(p))) for k, p in element.items() if p}
+    for m in range(len(eq.terms)):
+        flipped = {k: rp.neg(p) if (k >> m) & 1 else p for k, p in product.items()}
+        product = _quotient_mul(product, flipped, radicands)
     if not set(product) <= {0}:
         raise InvariantError("congener product failed to rationalize")
     return rp.primitive_positive(product.get(0, ()))

@@ -6,6 +6,7 @@ word reduction for commuting generators, fraction-free Gaussian
 elimination -- and never calls the code paths under test.
 """
 
+import math
 from fractions import Fraction
 
 from hypercomplex.scalars import RationalComplex
@@ -339,3 +340,65 @@ def reference_gaussian_roots(coeffs, numeric_roots):
         if len(rem) < 2:
             return exact, []
         numeric = numeric_roots(rem)
+
+
+# The surd stock equation as first written: the product of all 2**n
+# congeners, one sign vector at a time, in Q[x, s_1..s_n]/(s_m**2 - R_m)
+# with Fraction coefficients.  Ring elements map a radical bitmask to an
+# ascending coefficient list.
+
+
+def _poly_add(p, q):
+    out = [Fraction(0)] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _ring_mul(e1, e2, radicands):
+    out = {}
+    for m1, p1 in e1.items():
+        for m2, p2 in e2.items():
+            poly = _poly_mul(p1, p2)
+            for m, r in enumerate(radicands):
+                if (m1 & m2) >> m & 1:
+                    poly = _poly_mul(poly, r)
+            out[m1 ^ m2] = _poly_add(out.get(m1 ^ m2, []), poly)
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_stock_equation(base, terms):
+    """Primitive stock polynomial (ascending Fractions, positive leading
+    coefficient) of base + sum sign*Q*sqrt(R) = 0, ``terms`` a list of
+    (sign, Q, R); the zero polynomial is ()."""
+    radicands = [list(r) for _, _, r in terms]
+    product = {0: [Fraction(1)]}
+    for j in range(1 << len(terms)):
+        element = {0: list(base)} if base else {}
+        for m, (sign, q, _) in enumerate(terms):
+            flip = -1 if (j >> m) & 1 else 1
+            element[1 << m] = [sign * flip * c for c in q]
+        product = _ring_mul(product, element, radicands)
+    if set(product) - {0}:
+        raise ValueError("congener product kept a radical")
+    stock = product.get(0, [])
+    if not stock:
+        return ()
+    den = math.lcm(*(c.denominator for c in stock))
+    ints = [int(c * den) for c in stock]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(Fraction(v, g) for v in ints)

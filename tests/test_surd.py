@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercomplex import ratpoly as rp
 from hypercomplex.surd import (
     CongenerReport,
     ParseError,
+    RadicalTerm,
     SurdEquation,
     UnsupportedNesting,
     classify_roots,
@@ -16,6 +19,31 @@ from hypercomplex.surd import (
     stock_equation,
 )
 from hypercomplex.scalars import InvariantError
+
+from oracles import reference_stock_equation
+
+fractions_with_denominators = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def nonzero_poly(max_degree):
+    return st.lists(fractions_with_denominators, min_size=1, max_size=max_degree + 1).map(
+        rp.normalize
+    ).filter(bool)
+
+
+@st.composite
+def surd_equations(draw):
+    """1-4 distinct radicands of degree <= 8 with rational coefficients,
+    either sign on each radical and a base that may be zero."""
+    radicands = draw(st.lists(nonzero_poly(8), min_size=1, max_size=4, unique=True))
+    terms = []
+    for radicand in radicands:
+        coeff = draw(nonzero_poly(2))
+        if coeff[-1] < 0:
+            coeff = rp.neg(coeff)
+        terms.append(RadicalTerm(draw(st.sampled_from((1, -1))), coeff, radicand))
+    base = draw(st.one_of(st.just(()), nonzero_poly(4)))
+    return SurdEquation(base, tuple(terms))
 
 
 def poly(*ascending):
@@ -144,10 +172,31 @@ class TestStockEquation:
         assert stock_equation(eq) == poly(0, 1)
 
     def test_unrationalized_product_raises(self, monkeypatch):
-        # One congener alone keeps its radical.
-        monkeypatch.setattr("hypercomplex.surd.congeners", lambda eq: [eq])
+        # With a sign flip that flips nothing, F*F = 1 + x + 2*sqrt(x)
+        # keeps its radical.
+        eq = parse_surd("1 + sqrt(x) = 0")
+        monkeypatch.setattr("hypercomplex.ratpoly.neg", lambda p: p)
         with pytest.raises(InvariantError, match="rationalize"):
-            stock_equation(parse_surd("1 + sqrt(x) = 0"))
+            stock_equation(eq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(surd_equations())
+    def test_norm_tower_matches_the_congener_product(self, eq):
+        want = reference_stock_equation(
+            eq.base, [(t.sign, t.coeff, t.radicand) for t in eq.terms]
+        )
+        got = stock_equation(eq)
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
+
+    def test_ratpoly_mul_keeps_the_coefficient_type(self):
+        # the tower multiplies ints, the parser Fractions; a slot no term
+        # reaches keeps the type of the start value
+        product = rp.mul(poly(1, 0, Fraction(1, 2)), poly(Fraction(2, 3)))
+        assert repr(product) == "(Fraction(2, 3), Fraction(0, 1), Fraction(1, 3))"
+        product = rp.mul((1, 0, 2), (3, -1))
+        assert product == (3, -1, 6, -2)
+        assert all(type(c) is int for c in product)
 
     def test_deflating_a_non_root_raises(self, monkeypatch):
         # A root check that passes everything hands deflate a non-root.
