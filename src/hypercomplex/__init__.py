@@ -33,6 +33,7 @@ from .surd import (
     ParseError,
     SurdEquation,
     UnsupportedNesting,
+    VanishedStock,
     classify_roots,
     congeners,
     parse_surd,
@@ -63,6 +64,7 @@ __all__ = [
     "SplitPair",
     "SurdEquation",
     "UnsupportedNesting",
+    "VanishedStock",
     "ZeroInput",
     "ZeroPolynomial",
     "classify_roots",

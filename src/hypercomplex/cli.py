@@ -40,6 +40,7 @@ COMPUTATIONAL_ERRORS = (
     ZeroInput,
     mc.OrderMismatch,
     quadruple.TableMismatch,
+    surd.VanishedStock,
 )
 
 

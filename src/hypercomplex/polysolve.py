@@ -175,9 +175,9 @@ _SNAP_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 100, 
 
 def _snap_candidate(root: complex, scaled) -> Optional[RationalComplex]:
     """Gaussian-rational value near a float root that exactly annihilates the
-    polynomial given by :func:`ratpoly.gaussian_integers`; small denominators
-    first, so float noise around a multiple rational root still lands on it.
-    Exact verification rules out false hits."""
+    polynomial given by the pairs of :func:`ratpoly.gaussian_integers`; small
+    denominators first, so float noise around a multiple rational root still
+    lands on it.  Exact verification rules out false hits."""
     re, im = Fraction(root.real), Fraction(root.imag)
     seen = set()
     for d in _SNAP_DENOMINATORS:

@@ -1,13 +1,14 @@
 """Exact univariate polynomials over Q, as ascending coefficient tuples.
 
 The zero polynomial is the empty tuple; all other polynomials carry no
-trailing zero coefficients, so ``len(p) - 1`` is the degree.  Everything
-here is pure and exact except the numeric root bridge at the bottom.
+trailing zero coefficients, so ``len(p) - 1`` is the degree.  Coefficients
+are ints, or ``Fraction``s where they must be.  Everything here is pure and
+exact except the numeric root bridge at the bottom.
 
 :func:`exact_roots` is the package's one exact-root extractor, for
 :func:`rational_roots` here and for ``polysolve``: numeric roots snap to
-exact candidates, each checked by Horner on scaled Gaussian integers and
-divided out to its full multiplicity.
+exact candidates, each checked and divided out by one Horner loop on
+Gaussian integers over one denominator, to its full multiplicity.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ def normalize(coeffs) -> Poly:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
-
-
-def const(value) -> Poly:
-    return normalize([Fraction(value)])
 
 
 def degree(p: Poly) -> int:
@@ -92,43 +89,56 @@ def primitive_positive(p: Poly) -> Poly:
     return tuple(Fraction(v, g) for v in ints)
 
 
-def deflate(p, root):
-    """Exact synthetic division by (x - root), over Q or Q(i); remainder must vanish."""
-    out = [p[-1]]
-    for c in reversed(p[:-1]):
-        out.append(out[-1] * root + c)
-    if out[-1]:
-        raise InvariantError(f"deflation by a non-root {root}")
-    return tuple(reversed(out[:-1]))
-
-
-def gaussian_integers(coeffs) -> list:
-    """The (re, im) int pairs of D*c for exact coefficients c (``Fraction``s
-    or ``RationalComplex`` values), D their common denominator: D*p has
-    Gaussian-integer coefficients."""
-    _, ints = common_denominator([part for c in coeffs for part in (c.real, c.imag)])
-    return list(zip(ints[::2], ints[1::2]))
+def gaussian_integers(coeffs) -> tuple[int, list]:
+    """(D, pairs) for exact coefficients c (ints, ``Fraction``s or
+    ``RationalComplex`` values): D their common denominator and pairs the
+    (re, im) ints of each D*c, so D*p has Gaussian-integer coefficients."""
+    D, ints = common_denominator([part for c in coeffs for part in (c.real, c.imag)])
+    return D, list(zip(ints[::2], ints[1::2]))
 
 
 def vanishes_at(scaled, re: Fraction, im: Fraction) -> bool:
-    """Whether p(re + im*i) = 0 exactly, p given by :func:`gaussian_integers`.
+    """Whether p(re + im*i) = 0 exactly, p given by the pairs of
+    :func:`gaussian_integers`."""
+    return _horner(scaled, re, im) is not None
 
-    With x = (a + b*i)/d, D * d**n * p(x) = sum C_k (a + b*i)**k d**(n-k),
-    so Horner on Python ints decides it: O(n) Gaussian-integer
-    multiply-adds and no gcd normalisation.
+
+def _horner(scaled, re: Fraction, im: Fraction):
+    """(d, accs) when p(re + im*i) = 0 exactly, else None: d is the common
+    denominator of re and im, accs the Horner accumulators but the last.
+
+    With x = (a + b*i)/d, Horner on Python ints gives accumulator j =
+    D * d**j * q_(n-1-j), q the quotient of p by (x - re - im*i), and
+    finally D * d**n * p(x): O(n) Gaussian-integer multiply-adds and no
+    gcd normalisation.
     """
     d = math.lcm(re.denominator, im.denominator)
     a = re.numerator * (d // re.denominator)
     b = im.numerator * (d // im.denominator)
     acc_re, acc_im = scaled[-1]
+    accs = []
     scale = 1
     for c_re, c_im in reversed(scaled[:-1]):
+        accs.append((acc_re, acc_im))
         scale *= d
         acc_re, acc_im = (
             acc_re * a - acc_im * b + c_re * scale,
             acc_re * b + acc_im * a + c_im * scale,
         )
-    return not (acc_re or acc_im)
+    return None if acc_re or acc_im else (d, accs)
+
+
+def _quotient(D: int, d: int, accs) -> tuple[int, list]:
+    """(D', C') with C'/D' the quotient whose :func:`_horner` accumulators
+    over D are accs: scaling accumulator j by d**(n-1-j) puts it over
+    D * d**(n-1), and one gcd pass removes the content."""
+    quotient, power = [], 1
+    for acc_re, acc_im in reversed(accs):
+        quotient.append((acc_re * power, acc_im * power))
+        power *= d
+    D *= power // d
+    g = math.gcd(D, *(part for pair in quotient for part in pair))
+    return D // g, [(u // g, v // g) for u, v in quotient]
 
 
 def exact_roots(p, numeric_roots, snap) -> tuple[list, list]:
@@ -136,22 +146,25 @@ def exact_roots(p, numeric_roots, snap) -> tuple[list, list]:
     multiplicity, and the numeric roots of the quotient where nothing snaps.
 
     ``snap(r, scaled)`` is an exact root near the float root r of the
-    polynomial given by :func:`gaussian_integers`, or None.  Each hit is
-    divided out to its full multiplicity, and ``numeric_roots`` runs once on
-    each quotient, whose exact roots it resolves better.
+    polynomial given by the pairs of :func:`gaussian_integers`, or None.
+    Each hit is divided out to its full multiplicity, and ``numeric_roots``
+    runs once on each quotient, handed over as complex numbers rounded as
+    ``float(Fraction)``.
     """
     found: list = []
-    scaled = gaussian_integers(p)
-    while len(p) >= 2:
-        numeric = numeric_roots(p)
+    D, scaled = gaussian_integers(p)
+    while len(scaled) >= 2:
+        numeric = numeric_roots([complex(re / D, im / D) for re, im in scaled])
         hits = (snap(r, scaled) for r in numeric)
         hit = next((h for h in hits if h is not None), None)
         if hit is None:
             return found, numeric
-        while len(p) >= 2 and vanishes_at(scaled, hit.real, hit.imag):
+        count = len(found)
+        while len(scaled) >= 2 and (horner := _horner(scaled, hit.real, hit.imag)):
             found.append(hit)
-            p = deflate(p, hit)
-            scaled = gaussian_integers(p)
+            D, scaled = _quotient(D, *horner)
+        if len(found) == count:
+            raise InvariantError(f"deflation by a non-root {hit}")
     return found, []
 
 
@@ -173,7 +186,7 @@ def rational_roots(p: Poly) -> tuple[list[Fraction], list[complex]]:
 def numpy_roots(p: Poly) -> list[complex]:
     import numpy as np  # loaded on first use: ``import hypercomplex`` stays numpy-free
 
-    return [complex(r) for r in np.roots([float(c) for c in reversed(p)])]
+    return [complex(r) for r in np.roots([c.real for c in reversed(p)])]
 
 
 def real_and_complex_roots(roots: list[complex]) -> tuple[list[float], list[complex]]:

@@ -8,8 +8,8 @@ every sign lives in the congener vector.  Multiplying all congeners in the
 quotient ring Q[x, s_1..s_n]/(s_m**2 - R_m) eliminates every radical and
 yields the rational stock equation, whose roots distribute among the
 congeners: each real stock root makes at least one congener vanish, and a
-congener that receives no real root is *impossible* -- it has no root at
-all, real or complex.  n congeners producing a stock equation of degree m
+congener that receives no real root is *impossible* -- it has no real root,
+though it may vanish at a complex one.  n congeners of stock degree m
 give the surd equation fractional order m/n (reported unreduced).
 
 The product is built as a tower of relative norms, F <- F*sigma_m(F) for
@@ -60,6 +60,10 @@ class ParseError(ValueError):
 
 class UnsupportedNesting(ParseError):
     """Radicals inside radicals are outside the grammar."""
+
+
+class VanishedStock(ValueError):
+    """The congeners multiply to 0, so the stock equation says nothing."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +121,6 @@ class RadicalTerm:
     coeff: tuple         # positive-leading rational polynomial Q
     radicand: tuple      # rational polynomial R under the radical
 
-    def flipped(self) -> "RadicalTerm":
-        return RadicalTerm(-self.sign, self.coeff, self.radicand)
-
 
 @dataclass(frozen=True)
 class SurdEquation:
@@ -148,7 +149,7 @@ class SurdEquation:
         out = rp.to_str(self.base) if self.base else ""
         for t in self.terms:
             body = f"sqrt({rp.to_str(t.radicand)})"
-            if t.coeff != (Fraction(1),):
+            if t.coeff != (1,):
                 q = rp.to_str(t.coeff)
                 needs_parens = rp.degree(t.coeff) >= 1 and len(
                     [c for c in t.coeff if c]
@@ -263,20 +264,18 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "INT":
             self.take()
-            value = Fraction(int(tok[1]))
+            value = int(tok[1])
             if self.peek()[0] == "/":
                 self.take()
-                den = self.take("INT")
-                value /= int(den[1])
-            return rp.const(value), None
+                value = Fraction(value, int(self.take("INT")[1]))
+            return rp.normalize([value]), None
         if tok[0] == "x":
             self.take()
             power = 1
             if self.peek()[0] == "^":
                 self.take()
                 power = int(self.take("INT")[1])
-            coeffs = [Fraction(0)] * power + [Fraction(1)]
-            return tuple(coeffs), None
+            return (0,) * power + (1,), None
         if tok[0] == "sqrt":
             if in_radicand:
                 raise UnsupportedNesting(
@@ -290,7 +289,7 @@ class _Parser:
                     "radicals inside radicals are not supported", tok[2]
                 )
             self.take(")")
-            return (Fraction(1),), base
+            return (1,), base
         if tok[0] == "(":
             self.take()
             base, radicals = self.expr(in_radicand=in_radicand)
@@ -398,8 +397,8 @@ def classify_roots(eq: SurdEquation) -> CongenerReport:
     """Solve the stock equation and hand each root to the congeners it kills."""
     stock = stock_equation(eq)
     if not stock:
-        raise InvariantError("stock equation vanished for a valid surd equation")
-    all_congeners = congeners(eq)
+        raise VanishedStock(f"stock equation vanished: the congeners of {eq} multiply to 0")
+    all_signs = [c.signs() for c in congeners(eq)]
 
     rational, numeric = rp.rational_roots(stock)
     numeric_real, complex_roots = rp.real_and_complex_roots(numeric)
@@ -407,7 +406,7 @@ def classify_roots(eq: SurdEquation) -> CongenerReport:
 
     reports: list[RootReport] = []
     for root in real_roots:
-        assigned, ambiguous = _assign(all_congeners, root)
+        assigned, ambiguous = _assign(eq, all_signs, root)
         reports.append(
             RootReport(
                 value=root,
@@ -422,30 +421,29 @@ def classify_roots(eq: SurdEquation) -> CongenerReport:
         )
 
     statuses = []
-    for idx, congener in enumerate(all_congeners):
+    for idx, signs in enumerate(all_signs):
         mine = tuple(r.value for r in reports if idx in r.assigned)
-        statuses.append(
-            CongenerStatus(signs=congener.signs(), possible=bool(mine), roots=mine)
-        )
+        statuses.append(CongenerStatus(signs=signs, possible=bool(mine), roots=mine))
     return CongenerReport(
         equation=eq,
         congeners=tuple(statuses),
         stock=stock,
-        order=(rp.degree(stock), len(all_congeners)),
+        order=(rp.degree(stock), len(all_signs)),
         roots=tuple(reports),
     )
 
 
-def _assign(all_congeners, root) -> tuple[tuple, bool]:
-    """Congener indices satisfied at a real stock root.
+def _assign(eq: SurdEquation, all_signs, root) -> tuple[tuple, bool]:
+    """Indices of the congeners ``all_signs`` satisfied at a real stock root.
 
     Nonnegative radicands use the principal real square root (exactly, when
     the value is a rational perfect square).  Negative radicands are
     evaluated with the principal complex root under every branch choice; if
     the satisfied set depends on the choice the root is flagged ambiguous.
     """
-    eq0 = all_congeners[0]
-    radicand_values = [rp.evaluate(t.radicand, root) for t in eq0.terms]
+    base = rp.evaluate(eq.base, root)
+    qs = [rp.evaluate(t.coeff, root) for t in eq.terms]
+    radicand_values = [rp.evaluate(t.radicand, root) for t in eq.terms]
     negatives = [m for m, v in enumerate(radicand_values) if v < 0]
 
     if not negatives:
@@ -454,7 +452,7 @@ def _assign(all_congeners, root) -> tuple[tuple, bool]:
         for v in radicand_values:
             s = rp.sqrt_exact(v) if exact else None
             sqrts.append(s if s is not None else math.sqrt(float(v)))
-        return _satisfied(all_congeners, root, sqrts), False
+        return _satisfied(all_signs, root, base, qs, sqrts), False
 
     satisfied_sets = set()
     for branch in itertools.product((1, -1), repeat=len(negatives)):
@@ -465,29 +463,26 @@ def _assign(all_congeners, root) -> tuple[tuple, bool]:
                 sqrts.append(flip * cmath.sqrt(complex(float(v))))
             else:
                 sqrts.append(math.sqrt(float(v)))
-        satisfied_sets.add(_satisfied(all_congeners, root, sqrts))
+        satisfied_sets.add(_satisfied(all_signs, root, base, qs, sqrts))
     if len(satisfied_sets) == 1:
         return satisfied_sets.pop(), False
     return (), True
 
 
-def _satisfied(all_congeners, root, sqrts) -> tuple:
-    out = []
+def _satisfied(all_signs, root, base, qs, sqrts) -> tuple:
+    """The congeners that vanish, from base, Q_m and R_m evaluated once."""
     exact = isinstance(root, Fraction) and all(
         isinstance(s, (int, Fraction)) for s in sqrts
     )
-    for idx, congener in enumerate(all_congeners):
-        value = rp.evaluate(congener.base, root)
-        magnitude = abs(complex(float(value)))
-        for t, s in zip(congener.terms, sqrts):
-            q = rp.evaluate(t.coeff, root)
-            value = value + t.sign * q * s
-            magnitude += abs(complex(float(q))) * abs(complex(s))
-        if exact:
-            if value == 0:
-                out.append(idx)
-        else:
-            tol = ASSIGN_RTOL * (1.0 + magnitude)
-            if abs(complex(value)) <= tol:
-                out.append(idx)
+    magnitude = abs(complex(float(base)))
+    for q, s in zip(qs, sqrts):
+        magnitude += abs(complex(float(q))) * abs(complex(s))
+    tol = ASSIGN_RTOL * (1.0 + magnitude)
+    out = []
+    for idx, signs in enumerate(all_signs):
+        value = base
+        for sign, q, s in zip(signs, qs, sqrts):
+            value = value + sign * q * s
+        if (value == 0) if exact else (abs(complex(value)) <= tol):
+            out.append(idx)
     return tuple(out)

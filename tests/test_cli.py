@@ -194,6 +194,22 @@ class TestSurd:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_integer_literals_print_as_unit_denominators_do(self, fmt):
+        plain = run("surd", "analyze", "2*x + sqrt(x^2 - 7) = 5", "--format", fmt)
+        fractions = run("surd", "analyze", "2/1*x + sqrt(1/1*x^2 - 7/1) = 5/1", "--format", fmt)
+        assert plain[0] == 0
+        assert fractions == plain
+
+    def test_zero_denominator_exits_two(self):
+        assert run("surd", "analyze", "x + sqrt(x) = 1/0") == (2, "", "error: Fraction(1, 0)\n")
+
+    def test_vanishing_congener_product_exits_one(self):
+        # (x - sqrt(x^2)) * (x + sqrt(x^2)) = x^2 - x^2 = 0
+        assert run("surd", "analyze", "x - sqrt(x^2) = 0") == (
+            1, "", "error: stock equation vanished: the congeners of x - sqrt(x^2) = 0 multiply to 0\n",
+        )
+
 
 class TestLeadingMinus:
     """A value that starts with one '-' is read as a value, with the same

@@ -33,7 +33,7 @@ from hypercomplex.polysolve import (
     _snap_candidate,
     _substitution,
 )
-from hypercomplex.ratpoly import deflate
+from hypercomplex.ratpoly import exact_roots
 from hypercomplex.ratpoly import gaussian_integers as _gaussian_integers
 from hypercomplex.ratpoly import vanishes_at as _vanishes_at
 from hypercomplex.scalars import InvariantError, RationalComplex, scalar_norm
@@ -98,6 +98,19 @@ class TestComplexRoots:
         roots = complex_roots(expand_from_roots([a, b]))
         assert len(roots) == 2
         assert len({(round(r.real, 12), round(r.imag, 12)) for r in roots}) == 1
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[-1e30] + [0] * 9 + [1], [-1e62, 0, 0, 0, 0, 1]],
+        ids=["z^10-1e30", "z^5-1e62"],
+    )
+    def test_wide_coefficient_spread(self, coeffs):
+        # Aberth's start circle overflows to inf here; the companion matrix
+        # still finds every root of z**n = c
+        n, c = len(coeffs) - 1, -coeffs[0]
+        roots = complex_roots(coeffs)
+        assert len(roots) == n
+        assert all(abs(abs(r) / c ** (1 / n) - 1) <= 1e-12 for r in roots)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -273,10 +286,10 @@ class TestMcSolve:
 
 class TestExactDeflation:
     def test_non_root_raises(self):
-        # 1 is no root of z**2 + 1
+        # 1 is no root of z**2 + 1; a snap that returns it anyway
         coeffs = [RationalComplex(Fraction(c)) for c in (1, 0, 1)]
         with pytest.raises(InvariantError, match="non-root"):
-            deflate(coeffs, RationalComplex(Fraction(1)))
+            exact_roots(coeffs, complex_roots, lambda r, scaled: RationalComplex(Fraction(1)))
 
 
 # -- exact checks on scaled Gaussian integers ---------------------------------
@@ -324,7 +337,7 @@ class TestGaussianIntegerVanishing:
     )
     def test_agrees_with_rational_horner(self, roots, cofactor, noise):
         coeffs = times_roots(cofactor, roots)
-        scaled = _gaussian_integers(coeffs)
+        _, scaled = _gaussian_integers(coeffs)
         assert all(_vanishes_at(scaled, r.re, r.im) for r in roots)
         points = [RationalComplex(Fraction(0))]
         for r in roots:

@@ -13,6 +13,7 @@ from hypercomplex.surd import (
     RadicalTerm,
     SurdEquation,
     UnsupportedNesting,
+    VanishedStock,
     classify_roots,
     congeners,
     parse_surd,
@@ -199,7 +200,8 @@ class TestStockEquation:
         assert all(type(c) is int for c in product)
 
     def test_deflating_a_non_root_raises(self, monkeypatch):
-        # A root check that passes everything hands deflate a non-root.
+        # A root check that passes everything hands exact_roots a non-root,
+        # and its division guard raises.
         monkeypatch.setattr(rp, "vanishes_at", lambda scaled, re, im: True)
         with pytest.raises(InvariantError, match="non-root"):
             rp.rational_roots(poly(-2, 0, 1))
@@ -207,7 +209,7 @@ class TestStockEquation:
     def test_vanished_stock_raises(self):
         # The parser rejects equations without a radical; built directly,
         # the empty equation has the zero stock polynomial.
-        with pytest.raises(InvariantError, match="vanished"):
+        with pytest.raises(VanishedStock, match="vanished"):
             classify_roots(SurdEquation(base=(), terms=()))
 
     def test_primitive_and_positive_leading(self):
