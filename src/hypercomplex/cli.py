@@ -402,7 +402,9 @@ def _cmd_surd(args) -> str:
 
 def _root_value_str(value) -> str:
     if isinstance(value, complex):
-        return f"({format_scalar(value.real)},{format_scalar(value.imag)})"
+        return f"({_root_value_str(value.real)},{_root_value_str(value.imag)})"
+    if isinstance(value, float):
+        value += 0.0  # a numeric root's zero part prints as 0, never -0
     return format_scalar(value)
 
 

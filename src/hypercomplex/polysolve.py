@@ -16,7 +16,11 @@ Cauchy-bound initial circle, falling back to companion-matrix eigenvalues
 when it stalls.  Roots of exact-coefficient components are snapped back to
 Gaussian rationals whenever exact substitution confirms them, so rational
 root sets (and their residuals) come out exactly zero.  The snap-and-deflate
-loop is :func:`ratpoly.exact_roots`, shared with ``surd``.
+loop is :func:`ratpoly.exact_roots`, shared with ``surd``.  The snap tries a
+ladder of denominator bounds per coordinate, small ones first; the whole
+ladder comes from one continued-fraction pass over the float
+(:func:`ratpoly.best_rationals`), and each candidate is checked as
+(numerator, denominator) ints, so no ``Fraction`` is built before a hit.
 
 Both exact checks run on scaled Gaussian integers, not on ``Fraction``s.
 A degree-n polynomial is scaled once by the common denominator D of its
@@ -38,7 +42,7 @@ from typing import Optional, Sequence
 
 from .bicomplex import Bicomplex, SplitPair
 from .multicomplex import Multicomplex, OrderMismatch, _rational
-from .ratpoly import SNAP_DENOMINATOR, exact_roots, vanishes_at
+from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots, vanishes_at
 from .scalars import SOLVE_RESIDUAL_RTOL, RationalComplex, common_denominator, scalar_norm
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
@@ -177,16 +181,19 @@ def _snap_candidate(root: complex, scaled) -> Optional[RationalComplex]:
     """Gaussian-rational value near a float root that exactly annihilates the
     polynomial given by the pairs of :func:`ratpoly.gaussian_integers`; small
     denominators first, so float noise around a multiple rational root still
-    lands on it.  Exact verification rules out false hits."""
-    re, im = Fraction(root.real), Fraction(root.imag)
+    lands on it.  Exact verification, on the (numerator, denominator) ints of
+    each candidate, rules out false hits; only a hit becomes ``Fraction``s."""
     seen = set()
-    for d in _SNAP_DENOMINATORS:
-        candidate = (re.limit_denominator(d), im.limit_denominator(d))
+    for candidate in zip(
+        best_rationals(root.real, _SNAP_DENOMINATORS),
+        best_rationals(root.imag, _SNAP_DENOMINATORS),
+    ):
         if candidate in seen:
             continue
         seen.add(candidate)
         if vanishes_at(scaled, *candidate):
-            return RationalComplex(*candidate)
+            re, im = candidate
+            return RationalComplex(Fraction(*re), Fraction(*im))
     return None
 
 

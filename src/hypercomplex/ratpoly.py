@@ -9,6 +9,10 @@ exact except the numeric root bridge at the bottom.
 :func:`rational_roots` here and for ``polysolve``: numeric roots snap to
 exact candidates, each checked and divided out by one Horner loop on
 Gaussian integers over one denominator, to its full multiplicity.
+:func:`best_rationals` is the package's one best-rational-approximation
+routine: the nearest fraction to a float under each of a ladder of
+denominator bounds, from one continued-fraction pass, as (numerator,
+denominator) ints.
 """
 
 from __future__ import annotations
@@ -97,24 +101,60 @@ def gaussian_integers(coeffs) -> tuple[int, list]:
     return D, list(zip(ints[::2], ints[1::2]))
 
 
-def vanishes_at(scaled, re: Fraction, im: Fraction) -> bool:
+def best_rationals(x: float, bounds) -> list[tuple[int, int]]:
+    """(p, q) of the fraction nearest x with denominator at most b, for each
+    of the ascending bounds b, all from one continued-fraction pass; the
+    same fractions, tie rule included, as ``Fraction``'s bounded-denominator
+    approximation gives.
+
+    The convergents p1/q1 of x are walked once; a bound b stops the walk at
+    the first convergent with q > b, and its answer is the last convergent
+    or the semiconvergent with k = (b - q0) // q1, whichever is nearer x,
+    the last convergent on a tie.  Each pair is in lowest terms with q > 0.
+    """
+    N, D = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = N, D
+    out = []
+    for bound in bounds:
+        if D <= bound:
+            out.append((N, D))
+            continue
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        if 2 * d * (q0 + k * q1) <= D:
+            out.append((p1, q1))
+        else:
+            out.append((p0 + k * p1, q0 + k * q1))
+    return out
+
+
+def vanishes_at(scaled, re: tuple[int, int], im: tuple[int, int]) -> bool:
     """Whether p(re + im*i) = 0 exactly, p given by the pairs of
-    :func:`gaussian_integers`."""
+    :func:`gaussian_integers` and re, im as (numerator, denominator) ints."""
     return _horner(scaled, re, im) is not None
 
 
-def _horner(scaled, re: Fraction, im: Fraction):
-    """(d, accs) when p(re + im*i) = 0 exactly, else None: d is the common
-    denominator of re and im, accs the Horner accumulators but the last.
+def _horner(scaled, re: tuple[int, int], im: tuple[int, int]):
+    """(d, accs) when p(re + im*i) = 0 exactly, else None: re and im are
+    (numerator, denominator) ints, d their common denominator, accs the
+    Horner accumulators but the last.
 
     With x = (a + b*i)/d, Horner on Python ints gives accumulator j =
     D * d**j * q_(n-1-j), q the quotient of p by (x - re - im*i), and
     finally D * d**n * p(x): O(n) Gaussian-integer multiply-adds and no
     gcd normalisation.
     """
-    d = math.lcm(re.denominator, im.denominator)
-    a = re.numerator * (d // re.denominator)
-    b = im.numerator * (d // im.denominator)
+    (re_num, re_den), (im_num, im_den) = re, im
+    d = math.lcm(re_den, im_den)
+    a = re_num * (d // re_den)
+    b = im_num * (d // im_den)
     acc_re, acc_im = scaled[-1]
     accs = []
     scale = 1
@@ -160,7 +200,8 @@ def exact_roots(p, numeric_roots, snap) -> tuple[list, list]:
         if hit is None:
             return found, numeric
         count = len(found)
-        while len(scaled) >= 2 and (horner := _horner(scaled, hit.real, hit.imag)):
+        point = hit.real.as_integer_ratio(), hit.imag.as_integer_ratio()
+        while len(scaled) >= 2 and (horner := _horner(scaled, *point)):
             found.append(hit)
             D, scaled = _quotient(D, *horner)
         if len(found) == count:
@@ -173,8 +214,8 @@ def _snap_rational(root: complex, scaled) -> Optional[Fraction]:
     near-real root, if the polynomial given by ``scaled`` vanishes there."""
     if abs(root.imag) > NEAR_REAL_RTOL * (1 + abs(root.real)):
         return None
-    candidate = Fraction(root.real).limit_denominator(SNAP_DENOMINATOR)
-    return candidate if vanishes_at(scaled, candidate, Fraction(0)) else None
+    [candidate] = best_rationals(root.real, (SNAP_DENOMINATOR,))
+    return Fraction(*candidate) if vanishes_at(scaled, candidate, (0, 1)) else None
 
 
 def rational_roots(p: Poly) -> tuple[list[Fraction], list[complex]]:

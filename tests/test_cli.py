@@ -210,6 +210,17 @@ class TestSurd:
             1, "", "error: stock equation vanished: the congeners of x - sqrt(x^2) = 0 multiply to 0\n",
         )
 
+    def test_numeric_root_zero_part_prints_unsigned(self):
+        # x**4 - 1 has the numeric roots +-i; np.roots gives one a -0.0 real part
+        code, out, _ = run("surd", "analyze", "x*sqrt(x^2) = 1")
+        assert code == 0
+        assert "root (0,1) -> congeners [] ambiguous" in out
+        assert "root (0,-1) -> congeners [] ambiguous" in out
+        code, out, _ = run("surd", "analyze", "x*sqrt(x^2) = 1", "--format", "json")
+        assert code == 0
+        values = [r["value"] for r in json.loads(out)["roots"]]
+        assert values == ["-1", "1", "(0,1)", "(0,-1)"]
+
 
 class TestLeadingMinus:
     """A value that starts with one '-' is read as a value, with the same

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercomplex.bicomplex import (
@@ -33,7 +33,7 @@ from hypercomplex.polysolve import (
     _snap_candidate,
     _substitution,
 )
-from hypercomplex.ratpoly import exact_roots
+from hypercomplex.ratpoly import best_rationals, exact_roots, rational_roots
 from hypercomplex.ratpoly import gaussian_integers as _gaussian_integers
 from hypercomplex.ratpoly import vanishes_at as _vanishes_at
 from hypercomplex.scalars import InvariantError, RationalComplex, scalar_norm
@@ -329,7 +329,14 @@ def times_roots(cofactor, roots):
     return coeffs
 
 
+def integer_pairs(x):
+    """The (numerator, denominator) ints of both parts, as the integer
+    check takes them."""
+    return x.re.as_integer_ratio(), x.im.as_integer_ratio()
+
+
 class TestGaussianIntegerVanishing:
+    @settings(deadline=None)
     @given(
         st.lists(gaussian_rationals, min_size=1, max_size=4),
         st.lists(gaussian_rationals, min_size=1, max_size=3).filter(lambda cs: cs[-1]),
@@ -338,7 +345,7 @@ class TestGaussianIntegerVanishing:
     def test_agrees_with_rational_horner(self, roots, cofactor, noise):
         coeffs = times_roots(cofactor, roots)
         _, scaled = _gaussian_integers(coeffs)
-        assert all(_vanishes_at(scaled, r.re, r.im) for r in roots)
+        assert all(_vanishes_at(scaled, *integer_pairs(r)) for r in roots)
         points = [RationalComplex(Fraction(0))]
         for r in roots:
             z = complex(r) + complex(noise, -noise)
@@ -354,7 +361,49 @@ class TestGaussianIntegerVanishing:
             hits = [x for x in candidates if not rational_horner(coeffs, x)]
             assert _snap_candidate(z, scaled) == (hits[0] if hits else None)
         for x in points:
-            assert _vanishes_at(scaled, x.re, x.im) == (not rational_horner(coeffs, x))
+            assert _vanishes_at(scaled, *integer_pairs(x)) == (not rational_horner(coeffs, x))
+
+
+# floats at the ends of the range, and floats near the rungs' own fractions,
+# where the ladder's semiconvergents and its tie rule decide
+ladder_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]),
+    st.builds(
+        lambda p, q, noise: p / q + noise,
+        st.integers(-10**6, 10**6),
+        st.sampled_from(_SNAP_DENOMINATORS),
+        st.sampled_from([0.0, 1e-15, -1e-12, 3e-9, -2e-7, 1e-4]),
+    ),
+)
+
+
+class TestSnapLadder:
+    @settings(deadline=None)
+    @given(ladder_floats)
+    def test_matches_limit_denominator(self, x):
+        expected = [Fraction(x).limit_denominator(d) for d in _SNAP_DENOMINATORS]
+        assert best_rationals(x, _SNAP_DENOMINATORS) == [
+            (f.numerator, f.denominator) for f in expected
+        ]
+
+    def test_snaps_call_no_limit_denominator(self, monkeypatch):
+        def refuse(self, max_denominator=10**6):
+            raise AssertionError("limit_denominator called")
+
+        monkeypatch.setattr(Fraction, "limit_denominator", refuse)
+        # (z - 1/2)(z - 2i/3)(z**2 - 2): two Gaussian-rational hits, one
+        # irrational pair left numeric
+        coeffs = times_roots(
+            [RationalComplex(Fraction(c)) for c in (-2, 0, 1)],
+            [RationalComplex(Fraction(1, 2)), RationalComplex(Fraction(0), Fraction(2, 3))],
+        )
+        roots = _component_roots(coeffs)
+        hits = [RationalComplex(Fraction(0), Fraction(2, 3)), RationalComplex(Fraction(1, 2))]
+        assert roots[:2] == hits
+        assert not any(isinstance(r, RationalComplex) for r in roots[2:])
+        # the surd snap: (x - 1/3)(x**2 - 2)
+        assert rational_roots((Fraction(2, 3), -2, Fraction(-1, 3), 1))[0] == [Fraction(1, 3)]
 
 
 def test_complex_roots_runs_once_per_deflated_polynomial(monkeypatch):
@@ -377,6 +426,7 @@ class TestIntegerSubstitution:
         [bicomplexes(exact_scalars), multicomplexes(2, exact_scalars), multicomplexes(3, exact_scalars)],
         ids=["bicomplex", "order2", "order3"],
     )
+    @settings(deadline=None)
     @given(data=st.data())
     def test_matches_element_horner(self, elements, data):
         coeffs = data.draw(st.lists(elements, min_size=2, max_size=5))
