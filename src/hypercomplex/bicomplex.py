@@ -15,8 +15,9 @@ multiplication acts componentwise on (Z, Z').  The zero divisors are
 exactly the elements with Z = 0 or Z' = 0; they form the two ideals
 generated by -h + i and h + i.
 
-The product keeps its own kernel: the order-2 ``Multicomplex`` one is
-slower and rounds floats differently.
+The product keeps its own kernel, :func:`product` on coefficient tuples,
+which ``*`` and the polynomial solver's substitution check both call: the
+order-2 ``Multicomplex`` one is slower and rounds floats differently.
 
 All values are immutable and every operation is a pure function, so
 anything here can be shared freely across threads.
@@ -102,13 +103,7 @@ class Bicomplex(Element):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        return Bicomplex(
-            a.w * b.w - a.x * b.x - a.y * b.y + a.z * b.z,
-            a.w * b.x + a.x * b.w - a.y * b.z - a.z * b.y,
-            a.w * b.y + a.y * b.w - a.x * b.z - a.z * b.x,
-            a.w * b.z + a.z * b.w + a.x * b.y + a.y * b.x,
-        )
+        return Bicomplex(*product(self.components(), other.components()))
 
     __rmul__ = __mul__
 
@@ -219,6 +214,20 @@ class Bicomplex(Element):
             "y": format_scalar(self.y),
             "z": format_scalar(self.z),
         }
+
+
+def product(a: tuple, b: tuple) -> tuple:
+    """The product of the elements with coefficient tuples ``a`` and ``b``,
+    as a coefficient tuple: the one kernel behind ``*`` and the solver's
+    substitution check."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by + az * bz,
+        aw * bx + ax * bw - ay * bz - az * by,
+        aw * by + ay * bw - ax * bz - az * bx,
+        aw * bz + az * bw + ax * by + ay * bx,
+    )
 
 
 def _is_negative(scalar) -> bool:

@@ -35,6 +35,7 @@ COMPUTATIONAL_ERRORS = (
     NotInvertible,
     polysolve.ZeroPolynomial,
     polysolve.NoConvergence,
+    polysolve.TooManyRoots,
     bq.NotComplanar,
     bq.DegenerateSpectrum,
     ZeroInput,

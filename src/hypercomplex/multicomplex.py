@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
 from .bicomplex import Bicomplex
 from .scalars import (
     HALF,
@@ -127,28 +129,7 @@ class Multicomplex(Element):
                 return Multicomplex.scalar(n, 0)
             return _element(n, tuple([0 + a * other if a else 0 for a in self.coeffs]))
         self._check_order(other)
-        a_coeffs, b_coeffs = self.coeffs, other.coeffs
-        if n > 2 and _spectral_is_cheaper(a_coeffs, b_coeffs, n):
-            da, u = _integer_spectrum(a_coeffs, n)
-            db, v = _integer_spectrum(b_coeffs, n)
-            top = 1 << (n - 1)
-            for s in range(top):
-                ar, ai, br, bi = u[s], u[s + top], v[s], v[s + top]
-                u[s] = ar * br - ai * bi
-                u[s + top] = ar * bi + ai * br
-            return _element(n, _from_integer_spectrum(u, n, da * db))
-        out = [0] * (1 << n)
-        for s, a in enumerate(a_coeffs):
-            if not a:
-                continue
-            for t, b in enumerate(b_coeffs):
-                if not b:
-                    continue
-                term = a * b
-                if (s & t).bit_count() & 1:
-                    term = -term
-                out[s ^ t] = out[s ^ t] + term
-        return _element(n, tuple(out))
+        return _element(n, product(self.coeffs, other.coeffs, n))
 
     __rmul__ = __mul__
 
@@ -195,11 +176,7 @@ class Multicomplex(Element):
             raise ValueError(
                 f"order {order} needs {1 << (order - 1)} components, got {len(values)}"
             )
-        top = len(values)
-        v = [0] * (2 * top)
-        for s, z in zip(_stage_signs(order), values):
-            v[s] = z.real
-            v[s + top] = z.imag
+        v = _spectrum_list([(z.real, z.imag) for z in values], order)
         if _rational(v):
             d, v = common_denominator(v)
             return Multicomplex(order, _from_integer_spectrum(v, order, d))
@@ -250,6 +227,35 @@ def _element(order: int, coeffs: tuple) -> Multicomplex:
     object.__setattr__(element, "order", order)
     object.__setattr__(element, "coeffs", coeffs)
     return element
+
+
+def product(a: tuple, b: tuple, order: int) -> tuple:
+    """The product of the MC(order) elements with coefficient tuples ``a``
+    and ``b``, as a coefficient tuple: the one kernel behind ``*`` between
+    elements and the solver's substitution check.  Dense exact operands
+    from order 3 go through the integer spectrum, the rest take the direct
+    sum over the subset rule (see the module docstring)."""
+    if order > 2 and _spectral_is_cheaper(a, b, order):
+        da, u = _integer_spectrum(a, order)
+        db, v = _integer_spectrum(b, order)
+        top = 1 << (order - 1)
+        for s in range(top):
+            ar, ai, br, bi = u[s], u[s + top], v[s], v[s + top]
+            u[s] = ar * br - ai * bi
+            u[s + top] = ar * bi + ai * br
+        return _from_integer_spectrum(u, order, da * db)
+    out = [0] * (1 << order)
+    for s, x in enumerate(a):
+        if not x:
+            continue
+        for t, y in enumerate(b):
+            if not y:
+                continue
+            term = x * y
+            if (s & t).bit_count() & 1:
+                term = -term
+            out[s ^ t] = out[s ^ t] + term
+    return tuple(out)
 
 
 # -- the butterfly ----------------------------------------------------------
@@ -331,21 +337,37 @@ def _integer_spectrum(coeffs, order: int) -> tuple:
 def _from_integer_spectrum(v: list, order: int, d: int) -> tuple:
     """The coefficients whose :func:`_integer_spectrum` for d is v: ints
     where they are whole, Fractions elsewhere."""
-    d <<= order - 1
+    return _quotients(_unbutterfly(v, order), d << (order - 1))
+
+
+def _quotients(ints, d: int) -> tuple:
+    """Each int over d: an int where it is whole, a Fraction elsewhere."""
     out = []
-    for x in _unbutterfly(v, order):
+    for x in ints:
         q, r = divmod(x, d)
         out.append(Fraction(x, d) if r else q)
     return tuple(out)
 
 
-def _stage_signs(order: int) -> list:
+@lru_cache(maxsize=None)  # one entry per order, at most MAX_ORDER
+def _stage_signs(order: int) -> tuple:
     """Flat index s of each split component, in :meth:`Multicomplex.split`
     order: the stage-0 sign is the most significant (bit-reversed s)."""
     signs = [0]
     for k in range(order - 1):
         signs = [s | b for s in signs for b in (0, 1 << k)]
-    return signs
+    return tuple(signs)
+
+
+def _spectrum_list(pairs, order: int) -> list:
+    """The flat list that :func:`_unbutterfly` takes for the split components
+    given as (real, imaginary) pairs in :meth:`Multicomplex.split` order."""
+    top = 1 << (order - 1)
+    v = [0] * (2 * top)
+    for s, (re, im) in zip(_stage_signs(order), pairs):
+        v[s] = re
+        v[s + top] = im
+    return v
 
 
 def _spectral_is_cheaper(a: tuple, b: tuple, order: int) -> bool:

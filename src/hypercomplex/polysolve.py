@@ -30,23 +30,51 @@ ints, O(n) products with no gcd normalisation.  The snap test and the
 multiplicity count use it on each component polynomial, and the
 substitution check of every exact recombined root uses it on the original
 coefficients in the algebra's basis.
+
+The per-root stage runs on coefficient tuples, with no element objects.
+Each component root is converted once, to its float pair and, when exact,
+to ints over a denominator.  A combination of exact roots is recombined on
+those ints by the inverse butterfly (the bicomplex recombination is its
+order-2 case) and substituted on the same ints; it becomes an element only
+after it passes.  Other combinations are recombined and substituted on
+floats.  The substitution's products are the algebra's own kernel,
+:func:`bicomplex.product` or :func:`multicomplex.product`, which ``*``
+wraps, so every residual has the bits the element Horner gives.  A solve
+returns at most ``MAX_ROOTS`` roots; above that it raises
+:class:`TooManyRoots` before any root is computed.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import add
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .bicomplex import Bicomplex, SplitPair
-from .multicomplex import Multicomplex, OrderMismatch, _rational
+from .bicomplex import Bicomplex
+from .bicomplex import product as bicomplex_product
+from .multicomplex import (
+    Multicomplex,
+    OrderMismatch,
+    _butterfly,
+    _element,
+    _half,
+    _quotients,
+    _rational,
+    _spectrum_list,
+    _stage_signs,
+    _unbutterfly,
+)
+from .multicomplex import product as multicomplex_product
 from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots, vanishes_at
 from .scalars import SOLVE_RESIDUAL_RTOL, RationalComplex, common_denominator, scalar_norm
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
 CLUSTER_RTOL = 1e-7          # multiplicity merge radius
+MAX_ROOTS = 2**16            # roots one solve returns at most
 
 
 class ZeroPolynomial(ValueError):
@@ -55,6 +83,10 @@ class ZeroPolynomial(ValueError):
 
 class NoConvergence(RuntimeError):
     """Root finder failed; message carries iteration diagnostics."""
+
+
+class TooManyRoots(ValueError):
+    """The solution set has more than ``MAX_ROOTS`` roots."""
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +305,34 @@ def split_polynomial(p: BicomplexPoly) -> tuple[list, list]:
     return _strip([z1 for z1, _ in pairs]), _strip([z2 for _, z2 in pairs])
 
 
+class _Algebra(NamedTuple):
+    """What the per-root stage of :func:`_solve_components` needs of an
+    algebra of order n, whose elements have 2**n coefficients and split
+    onto 2**(n-1) complex components by the butterfly of ``multicomplex``
+    (the bicomplex split is its order-2 case)."""
+
+    order: int
+    product: Callable        # (a, b) -> a*b on coefficient tuples
+    half: Callable           # x -> x/2 on a float, as the element recombination rounds it
+    element: Callable        # float coefficient tuple -> element
+    exact_element: Callable  # (ints, d) -> the element with coefficients ints/d
+
+
+_BICOMPLEX = _Algebra(
+    order=2,
+    product=bicomplex_product,
+    # Bicomplex.recompose multiplies by HALF; a float times HALF is the
+    # float times 0.5
+    half=lambda x: x * 0.5,
+    element=lambda coeffs: Bicomplex(*coeffs),
+    exact_element=lambda ints, d: Bicomplex(*[Fraction(v, d) for v in ints]),
+)
+
+
 def solve(p: BicomplexPoly) -> RootSet:
     """All roots via the split; InfiniteFamily when a component vanishes."""
     comps = list(split_polynomial(p))
-    return _solve_components(
-        comps,
-        recompose=lambda vals: Bicomplex.recompose(SplitPair(*vals)),
-        residual_of=_substitution(p.coeffs),
-        sort_key=lambda root: _float_key(root.decompose()),
-        coeff_norms=[scalar_norm(c.components()) for c in p.coeffs],
-    )
+    return _solve_components(comps, [c.components() for c in p.coeffs], _BICOMPLEX)
 
 
 def mc_solve(coeffs: Sequence[Multicomplex], order: Optional[int] = None) -> RootSet:
@@ -295,69 +345,102 @@ def mc_solve(coeffs: Sequence[Multicomplex], order: Optional[int] = None) -> Roo
     splits = [c.split() for c in cs]
     ncomp = 1 << (n - 1)
     comps = [_strip([s[i] for s in splits]) for i in range(ncomp)]
-    return _solve_components(
-        comps,
-        recompose=lambda vals: Multicomplex.unsplit(vals, n),
-        residual_of=_substitution(cs),
-        sort_key=lambda root: _float_key(root.split()),
-        coeff_norms=[scalar_norm(c.coeffs) for c in cs],
+    algebra = _Algebra(
+        order=n,
+        product=lambda a, b: multicomplex_product(a, b, n),
+        half=_half,
+        element=lambda coeffs: _element(n, coeffs),
+        exact_element=lambda ints, d: _element(n, _quotients(ints, d)),
     )
+    return _solve_components(comps, [c.coeffs for c in cs], algebra)
 
 
-def _float_key(values) -> tuple:
-    key = []
-    for z in values:
-        key.append(float(z.real))
-        key.append(float(z.imag))
-    return tuple(key)
-
-
-def _substitution(coeffs):
+def _substitution(coeffs, product):
     """The substitution check of the polynomial with degree-ascending
-    ``Bicomplex`` or ``Multicomplex`` coefficients: a function from a root r
-    to the residual |p(r)|, the norm of the coefficients of p(r) in the
-    algebra's basis.
+    coefficient tuples ``coeffs`` in an algebra's basis, ``product`` the
+    algebra's kernel: a function from a root to the residual |p(r)|, the
+    norm of the coefficients of p(r) in the basis.  The root is its
+    coefficient tuple, or, with an int d, the ints of d times an exact root.
 
     When every coefficient and r are exact (ints and Fractions) the check
     runs on integers: with D the common denominator of the coefficients and
-    d that of r, D * d**n * p(r) = sum (D*c_k) (d*r)**k d**(n-k), by Horner
-    on int-coefficient elements, O(n) products without gcd normalisation.
-    It works in the basis, not through the split, so it stays an independent
-    check of the recombination.  Only a nonzero value is divided back, by int
-    true division, which rounds as ``float(Fraction)`` does, so the residual
-    is the one the element Horner gives, bit for bit.  Other inputs take the
-    element Horner itself.
+    d one of r, D * d**n * p(r) = sum (D*c_k) (d*r)**k d**(n-k), by Horner
+    on int tuples, O(n) products without gcd normalisation.  It works in
+    the basis, not through the split, so it stays an independent check of
+    the recombination.  Only a nonzero value is divided back, by int true
+    division, which rounds as ``float(Fraction)`` does, so the residual is
+    the one the element Horner gives, bit for bit, whichever d is used.
+    Other inputs take the element Horner's operations in its order, ``acc *
+    r`` by the kernel, then ``+ c`` coefficient by coefficient, so their
+    residuals keep its bits too.
     """
-    if isinstance(coeffs[0], Bicomplex):
-        parts, element = Bicomplex.components, lambda xs: Bicomplex(*xs)
-    else:
-        order = coeffs[0].order
-        parts, element = (lambda a: a.coeffs), (lambda xs: Multicomplex(order, tuple(xs)))
-    exact = all(_rational(parts(c)) for c in coeffs)
+    exact = all(_rational(c) for c in coeffs)
     if exact:
-        width = len(parts(coeffs[0]))
-        denominator, ints = common_denominator([x for c in coeffs for x in parts(c)])
-        scaled = [element(ints[k:k + width]) for k in range(0, len(ints), width)]
+        width = len(coeffs[0])
+        denominator, ints = common_denominator([x for c in coeffs for x in c])
+        scaled = [ints[k:k + width] for k in range(0, len(ints), width)]
 
-    def residual(root) -> float:
-        if not (exact and _rational(parts(root))):
-            return scalar_norm(parts(_horner(coeffs, root)))
-        d, ints = common_denominator(parts(root))
-        x = element(ints)
+    def residual(root, d=None) -> float:
+        if d is not None and not exact:
+            root, d = [Fraction(v, d) for v in root], None
+        if d is None:
+            if not (exact and _rational(root)):
+                acc = coeffs[-1]
+                for c in reversed(coeffs[:-1]):
+                    acc = tuple(map(add, product(acc, root), c))
+                return scalar_norm(acc)
+            d, root = common_denominator(root)
         acc = scaled[-1]
         scale = 1
         for c in reversed(scaled[:-1]):
             scale *= d
-            acc = acc * x + c * scale
-        if acc.is_zero():
+            acc = [a + v * scale for a, v in zip(product(acc, root), c)]
+        if not any(acc):
             return 0.0
         den = denominator * scale
-        return scalar_norm([v / den for v in parts(acc)])
+        return scalar_norm([v / den for v in acc])
 
     return residual
 
 
-def _solve_components(comps, recompose, residual_of, sort_key, coeff_norms) -> RootSet:
+def _root_record(z) -> tuple:
+    """A component root as the stage uses it: its float (real, imaginary)
+    pair, the sort key part and the value a float recombination takes, and
+    for an exact root (real, imaginary, d), the ints of d times it."""
+    if not isinstance(z, RationalComplex):
+        return (z.real, z.imag), None
+    (p, q), (r, s) = z.re.as_integer_ratio(), z.im.as_integer_ratio()
+    d = math.lcm(q, s)
+    return (float(z.re), float(z.im)), (p * (d // q), r * (d // s), d)
+
+
+def _recombine(combo, order: int, half) -> tuple:
+    """The coefficients of the element whose split components are the roots
+    of ``combo`` (records of :func:`_root_record`), by the inverse butterfly,
+    as (coefficients, d).  When every root is exact they are the ints of d
+    times the element, d being 2**(order-1) times the roots' common
+    denominator; otherwise they are the recombination of the roots' floats,
+    halved by ``half``, and d is None."""
+    exact = [r[1] for r in combo]
+    if None in exact:
+        return tuple(_unbutterfly(_spectrum_list([r[0] for r in combo], order), order, half)), None
+    den = math.lcm(*[e[2] for e in exact])
+    pairs = [(p * (den // d), q * (den // d)) for p, q, d in exact]
+    return _unbutterfly(_spectrum_list(pairs, order), order), den << (order - 1)
+
+
+def _solve_components(comps, coeffs, algebra: _Algebra) -> RootSet:
+    """The roots of the polynomial with coefficient tuples ``coeffs`` whose
+    split component polynomials are ``comps``.
+
+    Each component root is recorded once (:func:`_root_record`).  A
+    combination of exact roots is recombined and substituted on ints, and
+    only a root that passes becomes an element; any other combination is
+    recombined and substituted on floats.  Roots are sorted by their split
+    components: an exact root's key is its combination's float pairs, a
+    float root's the split of its recombined coefficients, as the element
+    gives it, which can differ from the combination in the last bits.
+    """
     counts = tuple(max(len(c) - 1, 0) for c in comps)
     if any(not c for c in comps):
         free = tuple(i for i, c in enumerate(comps) if not c)
@@ -369,29 +452,32 @@ def _solve_components(comps, recompose, residual_of, sort_key, coeff_norms) -> R
             counts=counts,
             family=InfiniteFamily(free_components=free, constrained_roots=constrained),
         )
+    total = math.prod(counts)
+    if total > MAX_ROOTS:
+        raise TooManyRoots(f"{total} roots exceed the cap of {MAX_ROOTS} per solve")
 
-    root_lists = [_component_roots(c) for c in comps]
-    combos = [[]]
-    for lst in root_lists:
-        combos = [prefix + [r] for prefix in combos for r in lst]
-
-    tol = SOLVE_RESIDUAL_RTOL * (1.0 + max(coeff_norms))
+    records = [[_root_record(z) for z in _component_roots(c)] for c in comps]
+    residual_of = _substitution(coeffs, algebra.product)
+    tol = SOLVE_RESIDUAL_RTOL * (1.0 + max(scalar_norm(c) for c in coeffs))
+    n = algebra.order
+    top = 1 << (n - 1)
+    signs = _stage_signs(n)
     roots, residuals, keys = [], [], []
-    for combo in combos:
-        exact = all(isinstance(z, RationalComplex) for z in combo)
-        if exact:
-            root = recompose(combo)
-        else:
-            root = recompose([complex(z) for z in combo])
-        residual = residual_of(root)
+    for combo in itertools.product(*records):
+        values, d = _recombine(combo, n, algebra.half)
+        residual = residual_of(values, d)
         if residual > tol:
             raise NoConvergence(
                 f"recombined root fails substitution: residual {residual:.3e} > {tol:.3e}"
             )
-        roots.append(root)
+        if d is None:
+            roots.append(algebra.element(values))
+            spectrum = _butterfly(values, n)
+            keys.append(tuple([spectrum[s + t] for s in signs for t in (0, top)]))
+        else:
+            roots.append(algebra.exact_element(values, d))
+            keys.append(sum([r[0] for r in combo], ()))
         residuals.append(residual)
-        # an exact root splits back into its combination exactly
-        keys.append(_float_key(combo) if exact else sort_key(root))
 
     order = sorted(range(len(roots)), key=keys.__getitem__)
     return RootSet(

@@ -402,3 +402,61 @@ def reference_stock_equation(base, terms):
     ints = [int(c * den) for c in stock]
     g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
     return tuple(Fraction(v, g) for v in ints)
+
+
+# The solver's per-root stage as element arithmetic, the way the package ran
+# it before the stage moved onto coefficient tuples: every combination of
+# component roots recombined by ``Bicomplex.recompose`` or
+# ``Multicomplex.unsplit`` (exact roots as they are, others as complex
+# floats), substituted by the element Horner, and sorted by float keys taken
+# per combination (an exact root's combination, a float root's split).  It
+# calls the element operations, which the stage no longer does, and takes the
+# component roots from the solver, which this reference does not test.
+
+
+def _float_pairs(values) -> tuple:
+    return tuple(part for z in values for part in (float(z.real), float(z.imag)))
+
+
+def element_path_root_set(coeffs):
+    """The ``RootSet`` of the polynomial with degree-ascending ``Bicomplex``
+    or ``Multicomplex`` coefficients, when it has finitely many roots."""
+    import itertools
+
+    from hypercomplex.bicomplex import Bicomplex, SplitPair
+    from hypercomplex.multicomplex import Multicomplex
+    from hypercomplex.polysolve import RootSet, _component_roots
+    from hypercomplex.scalars import scalar_norm
+
+    if isinstance(coeffs[0], Bicomplex):
+        spectra = [c.decompose() for c in coeffs]
+        recompose = lambda values: Bicomplex.recompose(SplitPair(*values))  # noqa: E731
+        split, parts = Bicomplex.decompose, Bicomplex.components
+    else:
+        order = coeffs[0].order
+        spectra = [c.split() for c in coeffs]
+        recompose = lambda values: Multicomplex.unsplit(values, order)  # noqa: E731
+        split, parts = Multicomplex.split, Multicomplex.components
+    comps = []
+    for i in range(len(spectra[0])):
+        comp = [s[i] for s in spectra]
+        while comp and not comp[-1]:
+            comp.pop()
+        comps.append(comp)
+    roots, residuals, keys = [], [], []
+    for combo in itertools.product(*[_component_roots(c) for c in comps]):
+        exact = all(isinstance(z, RationalComplex) for z in combo)
+        root = recompose(combo if exact else [complex(z) for z in combo])
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * root + c
+        roots.append(root)
+        residuals.append(scalar_norm(parts(acc)))
+        keys.append(_float_pairs(combo if exact else split(root)))
+    order = sorted(range(len(roots)), key=keys.__getitem__)
+    return RootSet(
+        kind="Finite",
+        counts=tuple(len(c) - 1 for c in comps),
+        roots=tuple(roots[i] for i in order),
+        residuals=tuple(residuals[i] for i in order),
+    )

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -136,6 +137,17 @@ class TestPoly:
             "poly", "solve", "--algebra", "bicomplex", "--coeffs", str(coeffs)
         )
         assert code == 1
+
+    def test_root_count_above_the_cap_exits_one_at_once(self, tmp_path):
+        # order 5 at degree 3: 3**16 = 43046721 roots
+        coeffs = tmp_path / "coeffs.txt"
+        rows = [[c] + [0] * 31 for c in (-1, 0, 0, 1)]
+        coeffs.write_text("".join(",".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run("poly", "solve", "--algebra", "mc:5", "--coeffs", str(coeffs))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: 43046721 roots exceed the cap of 65536 per solve\n"
 
     def test_unknown_algebra_exits_two(self, tmp_path):
         coeffs = tmp_path / "coeffs.txt"

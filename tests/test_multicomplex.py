@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypercomplex import bicomplex, multicomplex
 from hypercomplex.bicomplex import Bicomplex
 from hypercomplex.multicomplex import Multicomplex, OrderMismatch, ZeroInput
 from hypercomplex.scalars import RationalComplex
@@ -17,7 +19,7 @@ from oracles import (
     recursive_unsplit,
     subset_rule_product,
 )
-from strategies import multicomplexes
+from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
 
 
 def basis(order, mask):
@@ -200,6 +202,29 @@ class TestFloatBits:
                 assert repr((a * c).coeffs) == want
                 assert repr((c * a).coeffs) == want
                 assert repr((a * Multicomplex.scalar(order, c)).coeffs) == want
+
+
+kernel_exact = st.one_of(small_fractions, small_ints)
+kernel_float = st.one_of(st.floats(min_value=-1e3, max_value=1e3), st.sampled_from([0.0, -0.0]))
+kernel_mixed = st.one_of(kernel_exact, kernel_float, st.just(0))
+
+
+class TestProductKernel:
+    """The tuple kernels that ``*`` wraps and the polynomial solver calls
+    give the operator's coefficients, repr for repr."""
+
+    @pytest.mark.parametrize("scalars", [kernel_exact, kernel_float, kernel_mixed], ids=["exact", "float", "mixed"])
+    @pytest.mark.parametrize("algebra", ["bicomplex", 2, 3, 4, 5])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_the_operator(self, algebra, scalars, data):
+        if algebra == "bicomplex":
+            a, b = data.draw(bicomplexes(scalars)), data.draw(bicomplexes(scalars))
+            got = bicomplex.product(a.components(), b.components())
+        else:
+            a, b = data.draw(multicomplexes(algebra, scalars)), data.draw(multicomplexes(algebra, scalars))
+            got = multicomplex.product(a.coeffs, b.coeffs, algebra)
+        assert repr(got) == repr((a * b).components())
 
 
 class TestSplit:

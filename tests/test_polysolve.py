@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,15 @@ from hypercomplex.bicomplex import (
     SplitPair,
 )
 from hypercomplex import polysolve
+from hypercomplex.bicomplex import product as bicomplex_product
 from hypercomplex.multicomplex import Multicomplex
+from hypercomplex.multicomplex import product as multicomplex_product
 from hypercomplex.polysolve import (
+    MAX_ROOTS,
     BicomplexPoly,
     NoConvergence,
     RootSet,
+    TooManyRoots,
     ZeroPolynomial,
     complex_roots,
     mc_solve,
@@ -36,8 +41,9 @@ from hypercomplex.polysolve import (
 from hypercomplex.ratpoly import best_rationals, exact_roots, rational_roots
 from hypercomplex.ratpoly import gaussian_integers as _gaussian_integers
 from hypercomplex.ratpoly import vanishes_at as _vanishes_at
-from hypercomplex.scalars import InvariantError, RationalComplex, scalar_norm
+from hypercomplex.scalars import InvariantError, RationalComplex, common_denominator, scalar_norm
 
+from oracles import element_path_root_set
 from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
 
 
@@ -417,60 +423,194 @@ def test_complex_roots_runs_once_per_deflated_polynomial(monkeypatch):
     assert calls == [4, 3]
 
 
+float_scalars = st.floats(min_value=-4, max_value=4)
+mixed_scalars = st.one_of(exact_scalars, float_scalars, st.sampled_from([0, 0.0, -0.0]))
+
+
+def kernel_of(element):
+    """(coefficient tuple of an element, product kernel) for its algebra."""
+    if isinstance(element, Bicomplex):
+        return Bicomplex.components, bicomplex_product
+    order = element.order
+    return Multicomplex.components, lambda a, b: multicomplex_product(a, b, order)
+
+
 class TestIntegerSubstitution:
     """Exact roots are substituted on integers; a nonzero value is divided
-    back so the residual is the element Horner's, bit for bit."""
+    back so the residual is the element Horner's, bit for bit.  Other roots
+    take the element Horner's operations on coefficient tuples."""
 
     @pytest.mark.parametrize(
-        "elements",
-        [bicomplexes(exact_scalars), multicomplexes(2, exact_scalars), multicomplexes(3, exact_scalars)],
-        ids=["bicomplex", "order2", "order3"],
+        "algebra, scalars",
+        [
+            (algebra, scalars)
+            for scalars in (exact_scalars, float_scalars, mixed_scalars)
+            for algebra in ("bicomplex", 2, 3, 4)
+        ],
+        ids=[
+            f"{algebra}{kind}"
+            for kind in ("", "-float", "-mixed")
+            for algebra in ("bicomplex", "order2", "order3", "order4")
+        ],
     )
     @settings(deadline=None)
     @given(data=st.data())
-    def test_matches_element_horner(self, elements, data):
+    def test_matches_element_horner(self, algebra, scalars, data):
+        if algebra == "bicomplex":
+            elements = bicomplexes(scalars)
+        else:
+            elements = multicomplexes(algebra, scalars)
         coeffs = data.draw(st.lists(elements, min_size=2, max_size=5))
         x = data.draw(elements)
-        got = _substitution(coeffs)(x)
-        assert repr(got) == repr(basis_norm(element_horner(coeffs, x)))
+        parts, product = kernel_of(x)
+        residual = _substitution([parts(c) for c in coeffs], product)
+        want = repr(basis_norm(element_horner(coeffs, x)))
+        assert repr(residual(parts(x))) == want
+        if x.is_exact():
+            # an exact root as ints over any denominator
+            d, ints = common_denominator(parts(x))
+            assert repr(residual([3 * v for v in ints], 3 * d)) == want
 
     def test_exact_root_gives_exact_zero(self):
         one, zero = Multicomplex.scalar(3, 1), Multicomplex.scalar(3, 0)
         i1 = Multicomplex.unit(3, 0)
-        assert _substitution([one, zero, one])(i1) == 0.0
+        residual = _substitution([one.coeffs, zero.coeffs, one.coeffs], kernel_of(one)[1])
+        assert residual(i1.coeffs) == 0.0
 
 
-def perturb_second_root(monkeypatch, cls, name, delta):
-    """Patch the recombination ``cls.name`` so the second root it builds is
-    off by ``delta``; returns the roots it built."""
-    original = getattr(cls, name)
+def chosen_root_polynomial(rng, order, degree, irrational):
+    """Multicomplex coefficients whose split components have chosen
+    Gaussian-rational roots and a chosen leading value; with ``irrational``
+    one component also has the factor z**2 - 2, whose roots stay numeric."""
+    one = RationalComplex(Fraction(1))
+    comps = []
+    for k in range(1 << (order - 1)):
+        roots = [
+            RationalComplex(Fraction(rng.randint(-4, 4), q), Fraction(rng.randint(-4, 4), q))
+            for q in (rng.randint(1, 4) for _ in range(degree))
+        ]
+        lead = RationalComplex(Fraction(rng.randint(1, 3), rng.randint(1, 2)), Fraction(rng.randint(-2, 2)))
+        cofactor = [RationalComplex(Fraction(-2)), RationalComplex(Fraction(0)), lead] if irrational and k == 0 else [lead]
+        comps.append(times_roots(cofactor, roots))
+    top = max(len(c) for c in comps)
+    comps = [c + [0 * one] * (top - len(c)) for c in comps]
+    return [Multicomplex.unsplit([c[j] for c in comps], order) for j in range(top)]
+
+
+def random_polynomial(rng, order, degree, kind):
+    """Monic, with float components in [-1, 1] or integer ones in [-3, 3]."""
+    def scalar():
+        return rng.uniform(-1.0, 1.0) if kind == "float" else rng.randint(-3, 3)
+
+    return [
+        Multicomplex(order, tuple(scalar() for _ in range(1 << order))) for _ in range(degree)
+    ] + [Multicomplex.scalar(order, 1)]
+
+
+class TestRootSetMatchesElementPath:
+    """``solve`` and ``mc_solve`` against the per-root stage written with
+    element operations, ``repr`` for ``repr``: roots, component types,
+    residuals and order."""
+
+    @pytest.mark.parametrize("kind", ["chosen", "mixed", "gauss", "float"])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_same_repr(self, order, kind):
+        rng = random.Random(f"{kind}:{order}")
+        degree = {2: 3, 3: 2, 4: 2}[order]
+        for _ in range(3 if order < 4 else 1):
+            if kind in ("chosen", "mixed"):
+                coeffs = chosen_root_polynomial(rng, order, degree - (kind == "mixed"), kind == "mixed")
+            else:
+                coeffs = random_polynomial(rng, order, degree, kind)
+            assert repr(mc_solve(coeffs)) == repr(element_path_root_set(coeffs))
+            if order == 2:
+                bc = [Bicomplex(*c.coeffs) for c in coeffs]
+                assert repr(solve(BicomplexPoly(tuple(bc)))) == repr(element_path_root_set(bc))
+
+    def test_exact_roots_of_a_polynomial_with_a_float_zero(self):
+        # the split of (-1, 0.0, 0, 0) is exact, so every root is, but the
+        # substitution runs on the coefficients as they are
+        coeffs = [Multicomplex(2, (-1, 0.0, 0, 0)), Multicomplex.scalar(2, 0), Multicomplex.scalar(2, 1)]
+        got = mc_solve(coeffs)
+        assert all(r.is_exact() for r in got.roots)
+        assert repr(got) == repr(element_path_root_set(coeffs))
+
+
+class TestRootCap:
+    def test_order_five_degree_three_raises_at_once(self):
+        coeffs = [Multicomplex.scalar(5, c) for c in (-1, 0, 0, 1)]
+        start = time.perf_counter()
+        with pytest.raises(TooManyRoots, match=f"43046721 roots exceed the cap of {MAX_ROOTS}"):
+            mc_solve(coeffs)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_counts_the_component_degrees(self):
+        # order 4 at degree 4 has exactly MAX_ROOTS roots and is not refused
+        # by the cap; one more degree on every component is
+        assert 4 ** 8 == MAX_ROOTS
+        coeffs = [Multicomplex.scalar(4, c) for c in (1, 0, 0, 0, 0, 1)]
+        with pytest.raises(TooManyRoots, match="390625 roots"):
+            mc_solve(coeffs)
+
+
+def perturb_second_root(monkeypatch, delta):
+    """Patch the recombination so the second root it builds is off by
+    ``delta``, a coefficient tuple; returns the roots it built, as
+    coefficient tuples of exact values or floats."""
+    original = polysolve._recombine
     built = []
 
     def perturbed(*args):
-        root = original(*args)
+        values, d = original(*args)
+        root = list(values) if d is None else [Fraction(v, d) for v in values]
         built.append(root)
-        return root + delta if len(built) == 2 else root
+        if len(built) != 2:
+            return values, d
+        moved = [x + e for x, e in zip(root, delta)]
+        if d is None:
+            return tuple(moved), None
+        d, ints = common_denominator(moved)
+        return ints, d
 
-    monkeypatch.setattr(cls, name, staticmethod(perturbed))
+    monkeypatch.setattr(polysolve, "_recombine", perturbed)
     return built
 
 
 class TestSubstitutionCatchesBadRecombination:
-    def test_bicomplex(self, monkeypatch):
+    """A root recombined wrongly fails the substitution check, whether it
+    was recombined on the ints of exact roots (the polynomials with exact
+    coefficients) or on floats."""
+
+    @staticmethod
+    def check_bicomplex(monkeypatch, one):
         delta = Bicomplex(0, 0, 0, Fraction(1, 1000))
-        built = perturb_second_root(monkeypatch, Bicomplex, "recompose", delta)
-        coeffs = (Bicomplex(-1), ZERO, ONE)
+        built = perturb_second_root(monkeypatch, delta.components())
+        coeffs = (Bicomplex(-one), ZERO, ONE)
         with pytest.raises(NoConvergence) as excinfo:
             solve(BicomplexPoly(coeffs))
-        residual = basis_norm(element_horner(coeffs, built[1] + delta))
+        residual = basis_norm(element_horner(coeffs, Bicomplex(*built[1]) + delta))
         assert f"residual {residual:.3e}" in str(excinfo.value)
+
+    @staticmethod
+    def check_multicomplex(monkeypatch, order, one):
+        delta = Multicomplex.scalar(order, Fraction(1, 1000))
+        built = perturb_second_root(monkeypatch, delta.coeffs)
+        coeffs = [Multicomplex.scalar(order, -one), Multicomplex.scalar(order, 0), Multicomplex.scalar(order, 1)]
+        with pytest.raises(NoConvergence) as excinfo:
+            mc_solve(coeffs)
+        residual = basis_norm(element_horner(coeffs, Multicomplex(order, built[1]) + delta))
+        assert f"residual {residual:.3e}" in str(excinfo.value)
+
+    def test_bicomplex(self, monkeypatch):
+        self.check_bicomplex(monkeypatch, 1)
+
+    def test_bicomplex_float(self, monkeypatch):
+        self.check_bicomplex(monkeypatch, 1.0)
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_multicomplex(self, monkeypatch, order):
-        delta = Multicomplex.scalar(order, Fraction(1, 1000))
-        built = perturb_second_root(monkeypatch, Multicomplex, "unsplit", delta)
-        coeffs = [Multicomplex.scalar(order, -1), Multicomplex.scalar(order, 0), Multicomplex.scalar(order, 1)]
-        with pytest.raises(NoConvergence) as excinfo:
-            mc_solve(coeffs)
-        residual = basis_norm(element_horner(coeffs, built[1] + delta))
-        assert f"residual {residual:.3e}" in str(excinfo.value)
+        self.check_multicomplex(monkeypatch, order, 1)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_multicomplex_float(self, monkeypatch, order):
+        self.check_multicomplex(monkeypatch, order, 1.0)
