@@ -13,23 +13,24 @@ list of their component polynomial.
 
 The complex root finder is Aberth-Ehrlich simultaneous iteration with a
 Cauchy-bound initial circle, falling back to companion-matrix eigenvalues
-when it stalls.  Roots of exact-coefficient components are snapped back to
-Gaussian rationals whenever exact substitution confirms them, so rational
-root sets (and their residuals) come out exactly zero.  The snap-and-deflate
-loop is :func:`ratpoly.exact_roots`, shared with ``surd``.  The snap tries a
-ladder of denominator bounds per coordinate, small ones first; the whole
-ladder comes from one continued-fraction pass over the float
-(:func:`ratpoly.best_rationals`), and each candidate is checked as
-(numerator, denominator) ints, so no ``Fraction`` is built before a hit.
+when its iterates miss the residual bound; :func:`complex_roots` applies
+that one test to both, and a NaN residual fails it.  Roots of
+exact-coefficient components are extracted as Gaussian rationals by
+:func:`ratpoly.exact_roots`, shared with ``surd``, so rational root sets
+(and their residuals) come out exactly zero.  Each float root proposes the
+candidates of :func:`_candidates`: a ladder of denominator bounds per
+coordinate, small ones first, all from one continued-fraction pass over
+the float (:func:`ratpoly.best_rationals`), as (numerator, denominator)
+ints.  The extractor alone checks them, and divides out a confirmed root.
 
 Both exact checks run on scaled Gaussian integers, not on ``Fraction``s.
 A degree-n polynomial is scaled once by the common denominator D of its
 coefficients; at x = y/d, y a Gaussian integer (or an integer element),
 D * d**n * p(x) = sum (D*c_k) y**k d**(n-k) is computed by Horner on Python
-ints, O(n) products with no gcd normalisation.  The snap test and the
-multiplicity count use it on each component polynomial, and the
-substitution check of every exact recombined root uses it on the original
-coefficients in the algebra's basis.
+ints, O(n) products with no gcd normalisation.  The extractor uses it on
+each component polynomial, and the substitution check of every exact
+recombined root uses it on the original coefficients in the algebra's
+basis.
 
 The per-root stage runs on coefficient tuples, with no element objects.
 Each component root is converted once, to its float pair and, when exact,
@@ -59,17 +60,15 @@ from .bicomplex import product as bicomplex_product
 from .multicomplex import (
     Multicomplex,
     OrderMismatch,
-    _butterfly,
     _element,
     _half,
     _quotients,
     _rational,
     _spectrum_list,
-    _stage_signs,
     _unbutterfly,
 )
 from .multicomplex import product as multicomplex_product
-from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots, vanishes_at
+from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots
 from .scalars import SOLVE_RESIDUAL_RTOL, RationalComplex, common_denominator, scalar_norm
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
@@ -118,15 +117,16 @@ def complex_roots(coeffs: Sequence) -> list[complex]:
     if len(cs) == 2:
         roots.append(-cs[0] / cs[1])
     elif len(cs) > 2:
-        found = _aberth(cs)  # None unless every root meets tol
-        if found is None:
-            found = _companion_roots(cs)
-            bad = [res for res in (abs(_horner(cs, r)) for r in found) if res > tol]
-            if bad:
-                raise NoConvergence(
-                    f"root finder stalled: worst residual {max(bad):.3e} "
-                    f"exceeds {tol:.3e} after Aberth and companion fallback"
-                )
+        for finder in (_aberth, _companion_roots):
+            found = finder(cs)
+            bad = [res for res in (abs(_horner(cs, r)) for r in found) if not res <= tol]
+            if not bad:
+                break
+        else:
+            raise NoConvergence(
+                f"root finder stalled: worst residual {max(bad):.3e} "
+                f"exceeds {tol:.3e} after Aberth and companion fallback"
+            )
         roots.extend(found)
 
     roots = _merge_clusters(roots)
@@ -141,8 +141,9 @@ def _horner(coeffs, z):
     return acc
 
 
-def _aberth(coeffs, max_iter: int = 200) -> Optional[list[complex]]:
-    """Aberth-Ehrlich simultaneous iteration; None when it fails to settle."""
+def _aberth(coeffs, max_iter: int = 200) -> list[complex]:
+    """Aberth-Ehrlich simultaneous iteration: the iterates once they settle,
+    or after ``max_iter`` sweeps; :func:`complex_roots` checks them."""
     deg = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
     deriv = [k * monic[k] for k in range(1, deg + 1)]
@@ -153,8 +154,6 @@ def _aberth(coeffs, max_iter: int = 200) -> Optional[list[complex]]:
         radius * (0.75 + 0.5 * j / deg) * cmath.exp(1j * (2 * math.pi * j / deg + 0.43))
         for j in range(deg)
     ]
-    scale = max(1.0, max(abs(c) for c in coeffs))
-    tol = ROOT_RESIDUAL_RTOL * scale
     for _ in range(max_iter):
         settled = True
         for j in range(deg):
@@ -173,9 +172,7 @@ def _aberth(coeffs, max_iter: int = 200) -> Optional[list[complex]]:
                 settled = False
         if settled:
             break
-    if all(abs(_horner(coeffs, z)) <= tol for z in zs):
-        return zs
-    return None
+    return zs
 
 
 def _companion_roots(coeffs) -> list[complex]:
@@ -209,24 +206,15 @@ def _merge_clusters(roots: list[complex]) -> list[complex]:
 _SNAP_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 100, 1000, SNAP_DENOMINATOR)
 
 
-def _snap_candidate(root: complex, scaled) -> Optional[RationalComplex]:
-    """Gaussian-rational value near a float root that exactly annihilates the
-    polynomial given by the pairs of :func:`ratpoly.gaussian_integers`; small
-    denominators first, so float noise around a multiple rational root still
-    lands on it.  Exact verification, on the (numerator, denominator) ints of
-    each candidate, rules out false hits; only a hit becomes ``Fraction``s."""
-    seen = set()
-    for candidate in zip(
+def _candidates(root: complex) -> list:
+    """The exact points near a float root that :func:`ratpoly.exact_roots`
+    tries, in order, each once: the best rationals of both coordinates
+    under each bound of the ladder, small denominators first, so float
+    noise around a multiple rational root still lands on it."""
+    return list(dict.fromkeys(zip(
         best_rationals(root.real, _SNAP_DENOMINATORS),
         best_rationals(root.imag, _SNAP_DENOMINATORS),
-    ):
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        if vanishes_at(scaled, *candidate):
-            re, im = candidate
-            return RationalComplex(Fraction(*re), Fraction(*im))
-    return None
+    )))
 
 
 def _component_roots(coeffs) -> list:
@@ -240,8 +228,8 @@ def _component_roots(coeffs) -> list:
         return []
     if not all(isinstance(c, RationalComplex) for c in coeffs):
         return complex_roots(coeffs)
-    exact, numeric = exact_roots(coeffs, complex_roots, _snap_candidate)
-    return exact + numeric
+    exact, numeric = exact_roots(coeffs, complex_roots, _candidates)
+    return [RationalComplex(Fraction(*re), Fraction(*im)) for re, im in exact] + numeric
 
 
 def _strip(coeffs: list) -> list:
@@ -436,10 +424,9 @@ def _solve_components(comps, coeffs, algebra: _Algebra) -> RootSet:
     Each component root is recorded once (:func:`_root_record`).  A
     combination of exact roots is recombined and substituted on ints, and
     only a root that passes becomes an element; any other combination is
-    recombined and substituted on floats.  Roots are sorted by their split
-    components: an exact root's key is its combination's float pairs, a
-    float root's the split of its recombined coefficients, as the element
-    gives it, which can differ from the combination in the last bits.
+    recombined and substituted on floats.  A root fails unless its residual
+    is at most the tolerance, so a NaN residual fails.  Roots are sorted by
+    their split components, the float pairs of their combination.
     """
     counts = tuple(max(len(c) - 1, 0) for c in comps)
     if any(not c for c in comps):
@@ -459,25 +446,17 @@ def _solve_components(comps, coeffs, algebra: _Algebra) -> RootSet:
     records = [[_root_record(z) for z in _component_roots(c)] for c in comps]
     residual_of = _substitution(coeffs, algebra.product)
     tol = SOLVE_RESIDUAL_RTOL * (1.0 + max(scalar_norm(c) for c in coeffs))
-    n = algebra.order
-    top = 1 << (n - 1)
-    signs = _stage_signs(n)
     roots, residuals, keys = [], [], []
     for combo in itertools.product(*records):
-        values, d = _recombine(combo, n, algebra.half)
+        values, d = _recombine(combo, algebra.order, algebra.half)
         residual = residual_of(values, d)
-        if residual > tol:
+        if not residual <= tol:
             raise NoConvergence(
                 f"recombined root fails substitution: residual {residual:.3e} > {tol:.3e}"
             )
-        if d is None:
-            roots.append(algebra.element(values))
-            spectrum = _butterfly(values, n)
-            keys.append(tuple([spectrum[s + t] for s in signs for t in (0, top)]))
-        else:
-            roots.append(algebra.exact_element(values, d))
-            keys.append(sum([r[0] for r in combo], ()))
+        roots.append(algebra.element(values) if d is None else algebra.exact_element(values, d))
         residuals.append(residual)
+        keys.append(sum([r[0] for r in combo], ()))
 
     order = sorted(range(len(roots)), key=keys.__getitem__)
     return RootSet(

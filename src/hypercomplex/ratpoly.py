@@ -6,9 +6,11 @@ are ints, or ``Fraction``s where they must be.  Everything here is pure and
 exact except the numeric root bridge at the bottom.
 
 :func:`exact_roots` is the package's one exact-root extractor, for
-:func:`rational_roots` here and for ``polysolve``: numeric roots snap to
-exact candidates, each checked and divided out by one Horner loop on
-Gaussian integers over one denominator, to its full multiplicity.
+:func:`rational_roots` here and for ``polysolve``: each numeric root
+proposes exact candidates, and the one Horner loop on Gaussian integers
+over one denominator that confirms a candidate also gives its quotient, so
+every root is checked once, where it is divided out, to its full
+multiplicity.
 :func:`best_rationals` is the package's one best-rational-approximation
 routine: the nearest fraction to a float under each of a ladder of
 denominator bounds, from one continued-fraction pass, as (numerator,
@@ -19,9 +21,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
-from .scalars import InvariantError, common_denominator
+from .scalars import common_denominator
 
 Poly = tuple
 
@@ -135,12 +136,6 @@ def best_rationals(x: float, bounds) -> list[tuple[int, int]]:
     return out
 
 
-def vanishes_at(scaled, re: tuple[int, int], im: tuple[int, int]) -> bool:
-    """Whether p(re + im*i) = 0 exactly, p given by the pairs of
-    :func:`gaussian_integers` and re, im as (numerator, denominator) ints."""
-    return _horner(scaled, re, im) is not None
-
-
 def _horner(scaled, re: tuple[int, int], im: tuple[int, int]):
     """(d, accs) when p(re + im*i) = 0 exactly, else None: re and im are
     (numerator, denominator) ints, d their common denominator, accs the
@@ -181,47 +176,45 @@ def _quotient(D: int, d: int, accs) -> tuple[int, list]:
     return D // g, [(u // g, v // g) for u, v in quotient]
 
 
-def exact_roots(p, numeric_roots, snap) -> tuple[list, list]:
+def exact_roots(p, numeric_roots, candidates) -> tuple[list, list]:
     """The exact roots of p (ascending, leading coefficient nonzero), with
-    multiplicity, and the numeric roots of the quotient where nothing snaps.
+    multiplicity, as (re, im) points of (numerator, denominator) ints, and
+    the numeric roots of the quotient where nothing is exact.
 
-    ``snap(r, scaled)`` is an exact root near the float root r of the
-    polynomial given by the pairs of :func:`gaussian_integers`, or None.
-    Each hit is divided out to its full multiplicity, and ``numeric_roots``
-    runs once on each quotient, handed over as complex numbers rounded as
-    ``float(Fraction)``.
+    ``candidates(r)`` yields the exact points near the float root r to try,
+    in order.  The first point on which the Horner loop of :func:`_horner`
+    vanishes is a root, the accumulators of that run give its quotient, and
+    it is divided out to its full multiplicity; nothing else is divided
+    out.  ``numeric_roots`` runs once on each quotient, handed over as
+    complex numbers rounded as ``float(Fraction)``.
     """
     found: list = []
     D, scaled = gaussian_integers(p)
     while len(scaled) >= 2:
         numeric = numeric_roots([complex(re / D, im / D) for re, im in scaled])
-        hits = (snap(r, scaled) for r in numeric)
-        hit = next((h for h in hits if h is not None), None)
-        if hit is None:
+        hits = ((point, _horner(scaled, *point)) for r in numeric for point in candidates(r))
+        point, horner = next((hit for hit in hits if hit[1]), (None, None))
+        if horner is None:
             return found, numeric
-        count = len(found)
-        point = hit.real.as_integer_ratio(), hit.imag.as_integer_ratio()
-        while len(scaled) >= 2 and (horner := _horner(scaled, *point)):
-            found.append(hit)
+        while horner:
+            found.append(point)
             D, scaled = _quotient(D, *horner)
-        if len(found) == count:
-            raise InvariantError(f"deflation by a non-root {hit}")
+            horner = _horner(scaled, *point)
     return found, []
 
 
-def _snap_rational(root: complex, scaled) -> Optional[Fraction]:
-    """The fraction with denominator at most SNAP_DENOMINATOR nearest a
-    near-real root, if the polynomial given by ``scaled`` vanishes there."""
-    if abs(root.imag) > NEAR_REAL_RTOL * (1 + abs(root.real)):
-        return None
-    [candidate] = best_rationals(root.real, (SNAP_DENOMINATOR,))
-    return Fraction(*candidate) if vanishes_at(scaled, candidate, (0, 1)) else None
+def _rational_candidates(root: complex):
+    """The point of the fraction with denominator at most SNAP_DENOMINATOR
+    nearest a near-real root; nothing for any other root."""
+    if abs(root.imag) <= NEAR_REAL_RTOL * (1 + abs(root.real)):
+        yield best_rationals(root.real, (SNAP_DENOMINATOR,))[0], (0, 1)
 
 
 def rational_roots(p: Poly) -> tuple[list[Fraction], list[complex]]:
     """All rational roots of p, with multiplicity, and the numeric roots of
     the rest: every rational root the numeric stage resolves is found."""
-    return exact_roots(normalize(p), numpy_roots, _snap_rational)
+    exact, numeric = exact_roots(normalize(p), numpy_roots, _rational_candidates)
+    return [Fraction(*re) for re, _ in exact], numeric
 
 
 def numpy_roots(p: Poly) -> list[complex]:

@@ -431,12 +431,12 @@ def element_path_root_set(coeffs):
     if isinstance(coeffs[0], Bicomplex):
         spectra = [c.decompose() for c in coeffs]
         recompose = lambda values: Bicomplex.recompose(SplitPair(*values))  # noqa: E731
-        split, parts = Bicomplex.decompose, Bicomplex.components
+        parts = Bicomplex.components
     else:
         order = coeffs[0].order
         spectra = [c.split() for c in coeffs]
         recompose = lambda values: Multicomplex.unsplit(values, order)  # noqa: E731
-        split, parts = Multicomplex.split, Multicomplex.components
+        parts = Multicomplex.components
     comps = []
     for i in range(len(spectra[0])):
         comp = [s[i] for s in spectra]
@@ -452,7 +452,7 @@ def element_path_root_set(coeffs):
             acc = acc * root + c
         roots.append(root)
         residuals.append(scalar_norm(parts(acc)))
-        keys.append(_float_pairs(combo if exact else split(root)))
+        keys.append(_float_pairs(combo))
     order = sorted(range(len(roots)), key=keys.__getitem__)
     return RootSet(
         kind="Finite",

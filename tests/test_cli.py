@@ -149,6 +149,15 @@ class TestPoly:
         assert (code, out) == (1, "")
         assert err == "error: 43046721 roots exceed the cap of 65536 per solve\n"
 
+    def test_nan_residual_exits_one(self, tmp_path):
+        # the coefficient norm overflows the tolerance to inf, and two
+        # recombined roots overflow their residual to nan, which must fail
+        coeffs = tmp_path / "coeffs.txt"
+        coeffs.write_text("1.0\n-1e200\n1.0\n", encoding="utf-8")
+        code, out, err = run("poly", "solve", "--algebra", "bicomplex", "--coeffs", str(coeffs))
+        assert (code, out) == (1, "")
+        assert err == "error: recombined root fails substitution: residual nan > inf\n"
+
     def test_unknown_algebra_exits_two(self, tmp_path):
         coeffs = tmp_path / "coeffs.txt"
         coeffs.write_text("1\n1\n", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""``ratpoly.exact_roots``, the one snap-and-deflate loop of the package.
+"""``ratpoly.exact_roots``, the one exact-root extractor of the package.
 
 Both of its callers find the exact roots the two loops it replaced found
 (kept in ``oracles``), and leave the same numeric roots, bit for bit; the
@@ -67,9 +67,16 @@ class TestSameAsTheLoopsItReplaced:
     def test_gaussian_component_roots(self, lead, factor, roots):
         coeffs = expand(lead, [RationalComplex(Fraction(c)) for c in factor], roots)
         assume(len(coeffs) >= 2)
-        assert outcome(
-            rp.exact_roots, coeffs, polysolve.complex_roots, polysolve._snap_candidate
-        ) == outcome(reference_gaussian_roots, coeffs, polysolve.complex_roots)
+        assert outcome(gaussian_roots, coeffs) == outcome(
+            reference_gaussian_roots, coeffs, polysolve.complex_roots
+        )
+
+
+def gaussian_roots(coeffs):
+    """``exact_roots`` with the ladder candidates of ``polysolve``, its
+    exact points as ``RationalComplex`` values."""
+    exact, numeric = rp.exact_roots(coeffs, polysolve.complex_roots, polysolve._candidates)
+    return [RationalComplex(Fraction(*re), Fraction(*im)) for re, im in exact], numeric
 
 
 def test_classify_roots_runs_numpy_once_per_remainder(monkeypatch):
@@ -87,8 +94,8 @@ def test_constant_polynomials_call_no_finder():
     def finder(p):
         raise AssertionError("numeric finder called")
 
-    def snap(r, scaled):
-        raise AssertionError("snap called")
+    def candidates(r):
+        raise AssertionError("candidates called")
 
     for p in ((), (Fraction(3),), (RationalComplex(Fraction(1), Fraction(2)),)):
-        assert rp.exact_roots(p, finder, snap) == ([], [])
+        assert rp.exact_roots(p, finder, candidates) == ([], [])

@@ -40,12 +40,19 @@ def test_package_and_cli_import_without_numpy():
     "argv",
     [
         ("bc", "mul", "1 - 1*k", "1/2 + 3*i"),
+        ("biq", "mul", "(0,1) + (1,0)*k", "(0,-1) + (1,0)*k"),
         ("mc", "--order", "3", "split", "1,2,0,-1/2,0,0,3,1"),
         ("algebra", "table", "coquaternion"),
+        ("poly", "solve", "--algebra", "bicomplex", "--coeffs", "{coeffs}"),
     ],
-    ids=["bc-mul", "mc-split", "algebra-table"],
+    ids=["bc-mul", "biq-mul", "mc-split", "algebra-table", "poly-solve"],
 )
-def test_exact_subcommands_run_without_numpy(argv):
+def test_exact_subcommands_run_without_numpy(argv, tmp_path):
+    # z**2 + k*z - 2: the complex finder settles on every component, so
+    # the companion fallback, the one user of numpy, never runs
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("-2\n1*k\n1\n", encoding="utf-8")
+    argv = [arg.format(coeffs=coeffs) for arg in argv]
     normal = python(RUN_CLI, *argv)
     blocked = python(BLOCK_NUMPY + RUN_CLI, *argv)
     assert normal.returncode == 0, normal.stderr

@@ -34,14 +34,13 @@ from hypercomplex.polysolve import (
 )
 from hypercomplex.polysolve import (
     _SNAP_DENOMINATORS,
+    _candidates,
     _component_roots,
-    _snap_candidate,
     _substitution,
 )
+from hypercomplex import ratpoly as rp
 from hypercomplex.ratpoly import best_rationals, exact_roots, rational_roots
-from hypercomplex.ratpoly import gaussian_integers as _gaussian_integers
-from hypercomplex.ratpoly import vanishes_at as _vanishes_at
-from hypercomplex.scalars import InvariantError, RationalComplex, common_denominator, scalar_norm
+from hypercomplex.scalars import RationalComplex, common_denominator, scalar_norm
 
 from oracles import element_path_root_set
 from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
@@ -117,6 +116,13 @@ class TestComplexRoots:
         roots = complex_roots(coeffs)
         assert len(roots) == n
         assert all(abs(abs(r) / c ** (1 / n) - 1) <= 1e-12 for r in roots)
+
+    def test_fallback_roots_with_a_nan_residual_are_refused(self, monkeypatch):
+        # Aberth fails on z**5 - 1e62; fallback roots as large as 1e200
+        # overflow Horner to inf * 0 = nan, and a NaN residual must fail
+        monkeypatch.setattr(polysolve, "_companion_roots", lambda cs: [complex(1e200, 0)] * 5)
+        with pytest.raises(NoConvergence, match="worst residual nan exceeds"):
+            complex_roots([-1e62, 0, 0, 0, 0, 1])
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -291,11 +297,13 @@ class TestMcSolve:
 
 
 class TestExactDeflation:
-    def test_non_root_raises(self):
-        # 1 is no root of z**2 + 1; a snap that returns it anyway
+    def test_a_non_root_candidate_stays_numeric(self):
+        # 1 is no root of z**2 + 1; a candidate function that proposes it
+        # anyway gets no exact root, and the numeric roots come back whole
         coeffs = [RationalComplex(Fraction(c)) for c in (1, 0, 1)]
-        with pytest.raises(InvariantError, match="non-root"):
-            exact_roots(coeffs, complex_roots, lambda r, scaled: RationalComplex(Fraction(1)))
+        exact, numeric = exact_roots(coeffs, complex_roots, lambda r: [((1, 1), (0, 1))])
+        assert exact == []
+        assert numeric == complex_roots([1, 0, 1])
 
 
 # -- exact checks on scaled Gaussian integers ---------------------------------
@@ -350,12 +358,16 @@ class TestGaussianIntegerVanishing:
     )
     def test_agrees_with_rational_horner(self, roots, cofactor, noise):
         coeffs = times_roots(cofactor, roots)
-        _, scaled = _gaussian_integers(coeffs)
-        assert all(_vanishes_at(scaled, *integer_pairs(r)) for r in roots)
+        _, scaled = rp.gaussian_integers(coeffs)
+
+        def vanishes(x):
+            return rp._horner(scaled, *integer_pairs(x)) is not None
+
+        assert all(vanishes(r) for r in roots)
         points = [RationalComplex(Fraction(0))]
         for r in roots:
             z = complex(r) + complex(noise, -noise)
-            # the near misses the snap tries, in its order
+            # the near misses the ladder proposes, in its order
             candidates = [
                 RationalComplex(
                     Fraction(z.real).limit_denominator(d),
@@ -365,9 +377,10 @@ class TestGaussianIntegerVanishing:
             ]
             points += [r] + candidates
             hits = [x for x in candidates if not rational_horner(coeffs, x)]
-            assert _snap_candidate(z, scaled) == (hits[0] if hits else None)
+            first = next((p for p in _candidates(z) if rp._horner(scaled, *p) is not None), None)
+            assert first == (integer_pairs(hits[0]) if hits else None)
         for x in points:
-            assert _vanishes_at(scaled, *integer_pairs(x)) == (not rational_horner(coeffs, x))
+            assert vanishes(x) == (not rational_horner(coeffs, x))
 
 
 # floats at the ends of the range, and floats near the rungs' own fractions,
@@ -410,6 +423,12 @@ class TestSnapLadder:
         assert not any(isinstance(r, RationalComplex) for r in roots[2:])
         # the surd snap: (x - 1/3)(x**2 - 2)
         assert rational_roots((Fraction(2, 3), -2, Fraction(-1, 3), 1))[0] == [Fraction(1, 3)]
+        # and the candidate functions themselves
+        assert _candidates(complex(1 / 3, 0.5)) == [
+            ((0, 1), (0, 1)), ((1, 2), (1, 2)), ((1, 3), (1, 2))
+        ]
+        assert list(rp._rational_candidates(complex(1 / 3, 1e-9))) == [((1, 3), (0, 1))]
+        assert list(rp._rational_candidates(complex(1 / 3, 1e-3))) == []
 
 
 def test_complex_roots_runs_once_per_deflated_polynomial(monkeypatch):
@@ -534,6 +553,24 @@ class TestRootSetMatchesElementPath:
         got = mc_solve(coeffs)
         assert all(r.is_exact() for r in got.roots)
         assert repr(got) == repr(element_path_root_set(coeffs))
+
+
+class TestRootOrder:
+    def test_roots_sharing_a_component_follow_the_next_one(self):
+        # float roots sort by the component roots they combine, as exact
+        # roots do, not by the split of their recombined coefficients, whose
+        # last bits depend on the partner root
+        def nearest(z, roots):
+            w = min(roots, key=lambda w: abs(w - z))
+            return w.real, w.imag
+
+        rng = random.Random(5)
+        for _ in range(200):
+            coeffs = [Bicomplex(*[rng.uniform(-1, 1) for _ in range(4)]) for _ in range(3)]
+            p = BicomplexPoly((*coeffs, ONE))
+            component_roots = [complex_roots(c) for c in split_polynomial(p)]
+            keys = [sum(map(nearest, r.decompose(), component_roots), ()) for r in solve(p).roots]
+            assert keys == sorted(keys)
 
 
 class TestRootCap:

@@ -199,12 +199,12 @@ class TestStockEquation:
         assert product == (3, -1, 6, -2)
         assert all(type(c) is int for c in product)
 
-    def test_deflating_a_non_root_raises(self, monkeypatch):
-        # A root check that passes everything hands exact_roots a non-root,
-        # and its division guard raises.
-        monkeypatch.setattr(rp, "vanishes_at", lambda scaled, re, im: True)
-        with pytest.raises(InvariantError, match="non-root"):
-            rp.rational_roots(poly(-2, 0, 1))
+    def test_a_non_root_candidate_stays_numeric(self, monkeypatch):
+        # Candidates that are no roots of x**2 - 2, proposed for every
+        # numeric root, are never returned as exact roots, and the numeric
+        # roots come back whole.
+        monkeypatch.setattr(rp, "_rational_candidates", lambda r: [((1, 1), (0, 1)), ((-7, 5), (0, 1))])
+        assert rp.rational_roots(poly(-2, 0, 1)) == ([], rp.numpy_roots(poly(-2, 0, 1)))
 
     def test_vanished_stock_raises(self):
         # The parser rejects equations without a radical; built directly,
