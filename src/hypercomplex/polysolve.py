@@ -21,27 +21,33 @@ exact-coefficient components are extracted as Gaussian rationals by
 candidates of :func:`_candidates`: a ladder of denominator bounds per
 coordinate, small ones first, all from one continued-fraction pass over
 the float (:func:`ratpoly.best_rationals`), as (numerator, denominator)
-ints.  The extractor alone checks them, and divides out a confirmed root.
+ints.  The extractor alone checks them, and divides out a confirmed root;
+it runs the finder once per component polynomial, and again only on a
+quotient whose exact roots that run's candidates do not all give.
 
-Both exact checks run on scaled Gaussian integers, not on ``Fraction``s.
-A degree-n polynomial is scaled once by the common denominator D of its
-coefficients; at x = y/d, y a Gaussian integer (or an integer element),
-D * d**n * p(x) = sum (D*c_k) y**k d**(n-k) is computed by Horner on Python
-ints, O(n) products with no gcd normalisation.  The extractor uses it on
-each component polynomial, and the substitution check of every exact
-recombined root uses it on the original coefficients in the algebra's
-basis.
+Everything exact runs on one fixed spectrum.  When every coefficient is
+exact, one common denominator D over all of them and one butterfly per
+coefficient give every split component polynomial as Gaussian integers
+over D, which the extractor takes as they are; its exact roots come back
+as (numerator, denominator) ints.  Float and mixed coefficients take the
+algebra's own split instead.  The extractor checks a candidate y/d on a
+component scaled by its denominator D: D * d**n * p(y/d) = sum (D*c_k) y**k
+d**(n-k), by Horner on Python ints, O(n) products with no gcd
+normalisation.
 
 The per-root stage runs on coefficient tuples, with no element objects.
 Each component root is converted once, to its float pair and, when exact,
 to ints over a denominator.  A combination of exact roots is recombined on
 those ints by the inverse butterfly (the bicomplex recombination is its
-order-2 case) and substituted on the same ints; it becomes an element only
-after it passes.  Other combinations are recombined and substituted on
-floats.  The substitution's products are the algebra's own kernel,
-:func:`bicomplex.product` or :func:`multicomplex.product`, which ``*``
-wraps, so every residual has the bits the element Horner gives.  A solve
-returns at most ``MAX_ROOTS`` roots; above that it raises
+order-2 case) and substituted on the same ints: one forward butterfly takes
+the recombined root back to its components, Horner runs per component on
+Gaussian integers against the coefficient spectra, and one inverse
+butterfly gives the value in the basis, O(n*2**n + deg*2**n) per root for
+order n.  It becomes an element only after it passes.  Other combinations
+are recombined and substituted on floats, with the algebra's own product
+kernel, :func:`bicomplex.product` or :func:`multicomplex.product`, which
+``*`` wraps, so every residual has the bits the element Horner gives.  A
+solve returns at most ``MAX_ROOTS`` roots; above that it raises
 :class:`TooManyRoots` before any root is computed.
 """
 
@@ -60,15 +66,17 @@ from .bicomplex import product as bicomplex_product
 from .multicomplex import (
     Multicomplex,
     OrderMismatch,
+    _butterfly,
     _element,
     _half,
     _quotients,
     _rational,
     _spectrum_list,
+    _stage_signs,
     _unbutterfly,
 )
 from .multicomplex import product as multicomplex_product
-from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots
+from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots, gaussian_integers
 from .scalars import SOLVE_RESIDUAL_RTOL, RationalComplex, common_denominator, scalar_norm
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
@@ -228,7 +236,7 @@ def _component_roots(coeffs) -> list:
         return []
     if not all(isinstance(c, RationalComplex) for c in coeffs):
         return complex_roots(coeffs)
-    exact, numeric = exact_roots(coeffs, complex_roots, _candidates)
+    exact, numeric = exact_roots(*gaussian_integers(coeffs), complex_roots, _candidates)
     return [RationalComplex(Fraction(*re), Fraction(*im)) for re, im in exact] + numeric
 
 
@@ -302,6 +310,7 @@ class _Algebra(NamedTuple):
     order: int
     product: Callable        # (a, b) -> a*b on coefficient tuples
     half: Callable           # x -> x/2 on a float, as the element recombination rounds it
+    split: Callable          # coefficient tuple -> its split components, as the element gives them
     element: Callable        # float coefficient tuple -> element
     exact_element: Callable  # (ints, d) -> the element with coefficients ints/d
 
@@ -312,6 +321,7 @@ _BICOMPLEX = _Algebra(
     # Bicomplex.recompose multiplies by HALF; a float times HALF is the
     # float times 0.5
     half=lambda x: x * 0.5,
+    split=lambda coeffs: Bicomplex(*coeffs).decompose(),
     element=lambda coeffs: Bicomplex(*coeffs),
     exact_element=lambda ints, d: Bicomplex(*[Fraction(v, d) for v in ints]),
 )
@@ -319,8 +329,7 @@ _BICOMPLEX = _Algebra(
 
 def solve(p: BicomplexPoly) -> RootSet:
     """All roots via the split; InfiniteFamily when a component vanishes."""
-    comps = list(split_polynomial(p))
-    return _solve_components(comps, [c.components() for c in p.coeffs], _BICOMPLEX)
+    return _solve_components([c.components() for c in p.coeffs], _BICOMPLEX)
 
 
 def mc_solve(coeffs: Sequence[Multicomplex], order: Optional[int] = None) -> RootSet:
@@ -330,31 +339,60 @@ def mc_solve(coeffs: Sequence[Multicomplex], order: Optional[int] = None) -> Roo
     for c in cs:
         if c.order != n:
             raise OrderMismatch(f"coefficient orders differ: {c.order} vs {n}")
-    splits = [c.split() for c in cs]
-    ncomp = 1 << (n - 1)
-    comps = [_strip([s[i] for s in splits]) for i in range(ncomp)]
     algebra = _Algebra(
         order=n,
         product=lambda a, b: multicomplex_product(a, b, n),
         half=_half,
+        split=lambda coeffs: _element(n, coeffs).split(),
         element=lambda coeffs: _element(n, coeffs),
         exact_element=lambda ints, d: _element(n, _quotients(ints, d)),
     )
-    return _solve_components(comps, [c.coeffs for c in cs], algebra)
+    return _solve_components([c.coeffs for c in cs], algebra)
 
 
-def _substitution(coeffs, product):
+def _integer_spectra(coeffs, order: int):
+    """(D, spectra) for the degree-ascending coefficient tuples of an MC(order)
+    polynomial when every coefficient is exact, else None: D the common
+    denominator of all coefficients and spectra[k] the butterfly of the ints
+    of D times coefficient k, whose entries s and s + 2**(order-1) are the
+    Gaussian integer of D times its split component at flat index s."""
+    if not all(_rational(c) for c in coeffs):
+        return None
+    width = 1 << order
+    D, ints = common_denominator([x for c in coeffs for x in c])
+    return D, [_butterfly(ints[k:k + width], order) for k in range(0, len(ints), width)]
+
+
+def _integer_components(spectra, order: int) -> list:
+    """The split component polynomials, in :meth:`Multicomplex.split` order,
+    as the (re, im) int pairs of the spectra of :func:`_integer_spectra`,
+    vanishing leading pairs dropped."""
+    top = 1 << (order - 1)
+    comps = []
+    for s in _stage_signs(order):
+        comp = [(v[s], v[s + top]) for v in spectra]
+        while comp and comp[-1] == (0, 0):
+            comp.pop()
+        comps.append(comp)
+    return comps
+
+
+def _substitution(coeffs, product, spectra):
     """The substitution check of the polynomial with degree-ascending
     coefficient tuples ``coeffs`` in an algebra's basis, ``product`` the
-    algebra's kernel: a function from a root to the residual |p(r)|, the
-    norm of the coefficients of p(r) in the basis.  The root is its
-    coefficient tuple, or, with an int d, the ints of d times an exact root.
+    algebra's kernel and ``spectra`` their :func:`_integer_spectra`: a
+    function from a root to the residual |p(r)|, the norm of the
+    coefficients of p(r) in the basis.  The root is its coefficient tuple,
+    or, with an int d, the ints of d times an exact root.
 
     When every coefficient and r are exact (ints and Fractions) the check
-    runs on integers: with D the common denominator of the coefficients and
-    d one of r, D * d**n * p(r) = sum (D*c_k) (d*r)**k d**(n-k), by Horner
-    on int tuples, O(n) products without gcd normalisation.  It works in
-    the basis, not through the split, so it stays an independent check of
+    runs on the integer spectra: with D the common denominator of the
+    coefficients and d one of r, one forward butterfly takes d*r to its
+    components y, Horner runs on each component on Gaussian integers,
+    D * d**n * p(y/d) = sum (D*c_k) y**k d**(n-k), and one inverse butterfly
+    gives 2**(order-1) * D * d**n * p(r) in the basis: O(order * 2**order +
+    n * 2**order) int operations per root instead of n products.  It starts
+    from the recombined coefficients, so it stays an independent check of
     the recombination.  Only a nonzero value is divided back, by int true
     division, which rounds as ``float(Fraction)`` does, so the residual is
     the one the element Horner gives, bit for bit, whichever d is used.
@@ -362,31 +400,39 @@ def _substitution(coeffs, product):
     r`` by the kernel, then ``+ c`` coefficient by coefficient, so their
     residuals keep its bits too.
     """
-    exact = all(_rational(c) for c in coeffs)
-    if exact:
-        width = len(coeffs[0])
-        denominator, ints = common_denominator([x for c in coeffs for x in c])
-        scaled = [ints[k:k + width] for k in range(0, len(ints), width)]
+    if spectra is not None:
+        D, vectors = spectra
+        width = len(vectors[0])
+        order, top = width.bit_length() - 1, width >> 1
+        # per flat index s, the Gaussian ints of component s, leading first
+        comps = [[(v[s], v[s + top]) for v in reversed(vectors)] for s in range(top)]
 
     def residual(root, d=None) -> float:
-        if d is not None and not exact:
+        if d is not None and spectra is None:
             root, d = [Fraction(v, d) for v in root], None
         if d is None:
-            if not (exact and _rational(root)):
+            if not (spectra is not None and _rational(root)):
                 acc = coeffs[-1]
                 for c in reversed(coeffs[:-1]):
                     acc = tuple(map(add, product(acc, root), c))
                 return scalar_norm(acc)
             d, root = common_denominator(root)
-        acc = scaled[-1]
-        scale = 1
-        for c in reversed(scaled[:-1]):
-            scale *= d
-            acc = [a + v * scale for a, v in zip(product(acc, root), c)]
-        if not any(acc):
+        powers = [d]
+        for _ in range(len(coeffs) - 2):
+            powers.append(powers[-1] * d)
+        v = _butterfly(root, order)
+        for s, ((acc_re, acc_im), *rest) in enumerate(comps):
+            y_re, y_im = v[s], v[s + top]
+            for (c_re, c_im), scale in zip(rest, powers):
+                acc_re, acc_im = (
+                    acc_re * y_re - acc_im * y_im + c_re * scale,
+                    acc_re * y_im + acc_im * y_re + c_im * scale,
+                )
+            v[s], v[s + top] = acc_re, acc_im
+        if not any(v):
             return 0.0
-        den = denominator * scale
-        return scalar_norm([v / den for v in acc])
+        den = D * powers[-1] << (order - 1)
+        return scalar_norm([x / den for x in _unbutterfly(v, order)])
 
     return residual
 
@@ -397,9 +443,16 @@ def _root_record(z) -> tuple:
     for an exact root (real, imaginary, d), the ints of d times it."""
     if not isinstance(z, RationalComplex):
         return (z.real, z.imag), None
-    (p, q), (r, s) = z.re.as_integer_ratio(), z.im.as_integer_ratio()
+    return _point_record((z.re.as_integer_ratio(), z.im.as_integer_ratio()))
+
+
+def _point_record(point) -> tuple:
+    """:func:`_root_record` of the exact root at a (re, im) point of
+    (numerator, denominator) ints in lowest terms, the float pair rounded as
+    ``float(Fraction)``."""
+    (p, q), (r, s) = point
     d = math.lcm(q, s)
-    return (float(z.re), float(z.im)), (p * (d // q), r * (d // s), d)
+    return (p / q, r / s), (p * (d // q), r * (d // s), d)
 
 
 def _recombine(combo, order: int, half) -> tuple:
@@ -417,19 +470,33 @@ def _recombine(combo, order: int, half) -> tuple:
     return _unbutterfly(_spectrum_list(pairs, order), order), den << (order - 1)
 
 
-def _solve_components(comps, coeffs, algebra: _Algebra) -> RootSet:
-    """The roots of the polynomial with coefficient tuples ``coeffs`` whose
-    split component polynomials are ``comps``.
+def _solve_components(coeffs, algebra: _Algebra) -> RootSet:
+    """The roots of the polynomial with degree-ascending coefficient tuples
+    ``coeffs`` in the algebra's basis.
 
-    Each component root is recorded once (:func:`_root_record`).  A
-    combination of exact roots is recombined and substituted on ints, and
-    only a root that passes becomes an element; any other combination is
-    recombined and substituted on floats.  A root fails unless its residual
-    is at most the tolerance, so a NaN residual fails.  Roots are sorted by
-    their split components, the float pairs of their combination.
+    When every coefficient is exact, one common denominator and one
+    butterfly per coefficient give every split component polynomial as
+    Gaussian integers (:func:`_integer_spectra`); the extractor takes them
+    as they are, and its exact points become root records directly.  Float
+    and mixed coefficients take the algebra's own split.  Each component
+    root is recorded once.  A combination of exact roots is recombined and
+    substituted on ints, and only a root that passes becomes an element; any
+    other combination is recombined and substituted on floats.  A root fails
+    unless its residual is at most the tolerance, so a NaN residual fails.
+    Roots are sorted by their split components, the float pairs of their
+    combination.
     """
+    spectra = _integer_spectra(coeffs, algebra.order)
+    if spectra is None:
+        splits = [algebra.split(c) for c in coeffs]
+        comps = [_strip([s[i] for s in splits]) for i in range(len(splits[0]))]
+    else:
+        D, vectors = spectra
+        comps = _integer_components(vectors, algebra.order)
     counts = tuple(max(len(c) - 1, 0) for c in comps)
     if any(not c for c in comps):
+        if spectra is not None:
+            comps = [[RationalComplex(Fraction(re, D), Fraction(im, D)) for re, im in c] for c in comps]
         free = tuple(i for i, c in enumerate(comps) if not c)
         constrained = {
             i: tuple(_component_roots(c)) for i, c in enumerate(comps) if c
@@ -443,8 +510,14 @@ def _solve_components(comps, coeffs, algebra: _Algebra) -> RootSet:
     if total > MAX_ROOTS:
         raise TooManyRoots(f"{total} roots exceed the cap of {MAX_ROOTS} per solve")
 
-    records = [[_root_record(z) for z in _component_roots(c)] for c in comps]
-    residual_of = _substitution(coeffs, algebra.product)
+    if spectra is None:
+        records = [[_root_record(z) for z in _component_roots(c)] for c in comps]
+    else:
+        records = []
+        for c in comps:
+            exact, numeric = exact_roots(D, c, complex_roots, _candidates)
+            records.append([_point_record(p) for p in exact] + [_root_record(z) for z in numeric])
+    residual_of = _substitution(coeffs, algebra.product, spectra)
     tol = SOLVE_RESIDUAL_RTOL * (1.0 + max(scalar_norm(c) for c in coeffs))
     roots, residuals, keys = [], [], []
     for combo in itertools.product(*records):

@@ -6,11 +6,14 @@ are ints, or ``Fraction``s where they must be.  Everything here is pure and
 exact except the numeric root bridge at the bottom.
 
 :func:`exact_roots` is the package's one exact-root extractor, for
-:func:`rational_roots` here and for ``polysolve``: each numeric root
-proposes exact candidates, and the one Horner loop on Gaussian integers
-over one denominator that confirms a candidate also gives its quotient, so
-every root is checked once, where it is divided out, to its full
-multiplicity.
+:func:`rational_roots` here and for ``polysolve``, on Gaussian integers over
+one denominator: each numeric root proposes exact candidates, and the one
+Horner loop that confirms a candidate also gives its quotient, so every
+root is checked once, where it is divided out, to its full multiplicity.
+One numeric run serves the whole polynomial: after a hit the run's other
+candidates are tried on the quotient, and the finder runs again only once
+they are spent, so the numeric roots left come from a run on the final
+quotient.
 :func:`best_rationals` is the package's one best-rational-approximation
 routine: the nearest fraction to a float under each of a ladder of
 denominator bounds, from one continued-fraction pass, as (numerator,
@@ -176,31 +179,53 @@ def _quotient(D: int, d: int, accs) -> tuple[int, list]:
     return D // g, [(u // g, v // g) for u, v in quotient]
 
 
-def exact_roots(p, numeric_roots, candidates) -> tuple[list, list]:
-    """The exact roots of p (ascending, leading coefficient nonzero), with
-    multiplicity, as (re, im) points of (numerator, denominator) ints, and
-    the numeric roots of the quotient where nothing is exact.
+def exact_roots(D: int, scaled, numeric_roots, candidates) -> tuple[list, list]:
+    """The exact roots, with multiplicity, of the polynomial whose ascending
+    coefficients times D have the (re, im) int pairs ``scaled``, leading pair
+    nonzero, as (re, im) points of (numerator, denominator) ints sorted by
+    exact value; and the numeric roots of the quotient where nothing is
+    exact.
 
-    ``candidates(r)`` yields the exact points near the float root r to try,
-    in order.  The first point on which the Horner loop of :func:`_horner`
-    vanishes is a root, the accumulators of that run give its quotient, and
-    it is divided out to its full multiplicity; nothing else is divided
-    out.  ``numeric_roots`` runs once on each quotient, handed over as
-    complex numbers rounded as ``float(Fraction)``.
+    ``numeric_roots`` takes the coefficients as complex numbers rounded as
+    ``float(Fraction)``.  ``candidates(r)`` yields the exact points near its
+    float root r to try, in order; it is called when r's turn comes, and
+    each point is tried once, since a point that is no root is no root of a
+    quotient either.  The first point on which the Horner loop of
+    :func:`_horner` vanishes is a root, the accumulators of that run give
+    its quotient, and it is divided out to its full multiplicity; nothing
+    else is divided out.  The candidates of the same run, those of the root
+    that proposed the hit included, are then tried on the quotient, and the
+    finder runs again only when they are spent after a hit, so the numeric
+    roots returned come from a run on the final quotient.
     """
     found: list = []
-    D, scaled = gaussian_integers(p)
+    tried: set = set()
+    numeric: list = []
     while len(scaled) >= 2:
         numeric = numeric_roots([complex(re / D, im / D) for re, im in scaled])
-        hits = ((point, _horner(scaled, *point)) for r in numeric for point in candidates(r))
-        point, horner = next((hit for hit in hits if hit[1]), (None, None))
-        if horner is None:
-            return found, numeric
-        while horner:
-            found.append(point)
-            D, scaled = _quotient(D, *horner)
+        known = len(found)
+        for point in (point for r in numeric for point in candidates(r)):
+            if point in tried:
+                continue
+            tried.add(point)
             horner = _horner(scaled, *point)
-    return found, []
+            while horner:
+                found.append(point)
+                D, scaled = _quotient(D, *horner)
+                horner = _horner(scaled, *point)
+            if len(scaled) < 2:
+                numeric = []
+                break
+        if len(found) == known:
+            break
+    if len(found) > 1:
+        found.sort(key=_exact_value)
+    return found, numeric
+
+
+def _exact_value(point) -> tuple:
+    (re_num, re_den), (im_num, im_den) = point
+    return Fraction(re_num, re_den), Fraction(im_num, im_den)
 
 
 def _rational_candidates(root: complex):
@@ -213,7 +238,7 @@ def _rational_candidates(root: complex):
 def rational_roots(p: Poly) -> tuple[list[Fraction], list[complex]]:
     """All rational roots of p, with multiplicity, and the numeric roots of
     the rest: every rational root the numeric stage resolves is found."""
-    exact, numeric = exact_roots(normalize(p), numpy_roots, _rational_candidates)
+    exact, numeric = exact_roots(*gaussian_integers(normalize(p)), numpy_roots, _rational_candidates)
     return [Fraction(*re) for re, _ in exact], numeric
 
 

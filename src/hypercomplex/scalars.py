@@ -292,8 +292,14 @@ def common_denominator(values) -> tuple:
 
 
 def scalar_norm(values) -> float:
-    """Euclidean size of a coefficient vector, for float tolerances."""
-    return math.sqrt(sum(float(v) * float(v) for v in values))
+    """Euclidean size of a coefficient vector, for float tolerances.  A sum
+    of squares that overflows is taken again by ``math.hypot``, which
+    scales, so a finite vector has a finite norm; every other result keeps
+    the bits of the plain sum."""
+    norm = math.sqrt(sum(float(v) * float(v) for v in values))
+    if norm == math.inf:
+        return math.hypot(*map(float, values))
+    return norm
 
 
 def vanishing(spectrum, coeffs) -> list:

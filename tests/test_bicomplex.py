@@ -165,6 +165,14 @@ class TestIdeal:
         assert nearly_g.ideal() == IdealTag.FIRST_SET
         assert Bicomplex(0.5, 0.1, 0.0, -0.5).ideal() == IdealTag.NONE
 
+    def test_huge_floats_keep_a_finite_tolerance(self):
+        # 1e200 squared overflows; the tolerance must not become infinite
+        big = Bicomplex(1e200, 0.0, 0.0, 0.0)
+        assert not big.is_zero_divisor()
+        assert big.ideal() == IdealTag.NONE
+        assert big.inverse() == Bicomplex(1e-200, 0.0, 0.0, 0.0)
+        assert Bicomplex(1e200, 0.0, 0.0, -1e200).ideal() == IdealTag.FIRST_SET
+
     def test_zero_product_needs_opposite_sets(self):
         # exhaustive over a small grid: a*b = 0 with a, b nonzero iff the
         # ideal tags are {FirstSet, SecondSet}

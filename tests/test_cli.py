@@ -44,6 +44,13 @@ class TestBc:
         code, out, _ = run("bc", "ideal", "0 + 0*k", "--format", "json")
         assert (code, json.loads(out)) == (0, {"schema": "1", "ideal": "Zero"})
 
+    def test_huge_float_elements_are_regular(self):
+        # the zero-divisor tolerance is finite past a norm of 1e154
+        assert run("bc", "ideal", "1e200") == (0, "None\n", "")
+        code, out, err = run("bc", "inverse", "1e200")
+        assert (code, err) == (0, "")
+        assert float(out) == 1e-200
+
     def test_bad_element_exits_two(self):
         code, _, err = run("bc", "mul", "1 + foo", "1")
         assert code == 2
@@ -150,13 +157,13 @@ class TestPoly:
         assert err == "error: 43046721 roots exceed the cap of 65536 per solve\n"
 
     def test_nan_residual_exits_one(self, tmp_path):
-        # the coefficient norm overflows the tolerance to inf, and two
-        # recombined roots overflow their residual to nan, which must fail
+        # two recombined roots overflow their residual to nan, which must
+        # fail; the tolerance, 1e-9 * (1 + 1e200), stays finite
         coeffs = tmp_path / "coeffs.txt"
         coeffs.write_text("1.0\n-1e200\n1.0\n", encoding="utf-8")
         code, out, err = run("poly", "solve", "--algebra", "bicomplex", "--coeffs", str(coeffs))
         assert (code, out) == (1, "")
-        assert err == "error: recombined root fails substitution: residual nan > inf\n"
+        assert err == "error: recombined root fails substitution: residual nan > 1.000e+191\n"
 
     def test_unknown_algebra_exits_two(self, tmp_path):
         coeffs = tmp_path / "coeffs.txt"

@@ -2,18 +2,22 @@
 
 Both of its callers find the exact roots the two loops it replaced found
 (kept in ``oracles``), and leave the same numeric roots, bit for bit; the
-numeric finder runs once on each polynomial it is handed.
+numeric finder runs once on the polynomial it is handed, and again only on
+a quotient whose roots that run's candidates do not all give.
 """
 
+from collections import Counter
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypercomplex import polysolve, surd
 from hypercomplex import ratpoly as rp
 from hypercomplex.scalars import RationalComplex
 
+from oracles import _numpy_roots as numpy_roots
+from oracles import _synthetic_division as synthetic_division
 from oracles import reference_gaussian_roots, reference_rational_roots
 from strategies import small_fractions
 
@@ -43,20 +47,62 @@ def expand(lead, factor, roots):
 
 
 def outcome(extract, *args):
-    """(exact roots, float bits of the numeric roots), or the error raised."""
+    """(exact roots sorted by value, with multiplicity, float bits of the
+    numeric roots), or the error raised.  The order in which exact roots
+    are found depends on the finder runs, so only their sorted lists are
+    compared."""
     try:
         exact, numeric = extract(*args)
     except polysolve.NoConvergence as exc:
         return "NoConvergence", str(exc)
-    return exact, [(z.real.hex(), z.imag.hex()) for z in numeric]
+    exact = sorted(exact, key=lambda z: (z.real, z.imag))
+    return exact, bits(numeric)
+
+
+def bits(roots) -> list:
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+def assert_agrees(got, want, coeffs, numeric_roots, planted):
+    """``got`` is the extractor's outcome on ``coeffs`` and ``want`` the
+    loops'; ``planted`` holds the (root, multiplicity) pairs behind
+    ``coeffs``, whose other factor has no exact root.
+
+    The loops ran the finder again on each quotient after a hit, the
+    extractor only once the candidates of its last run are spent.  A finder
+    spreads a multiple root by float noise, and whether a spread root still
+    snaps depends on the run, so the two may differ in multiple roots,
+    either way.  In every other root they agree, and when they find the same
+    roots the numeric bits are equal too.  Whatever the extractor finds
+    divides the polynomial exactly, and its numeric roots are those of one
+    finder run on the quotient, bit for bit."""
+    if got == want or "NoConvergence" in (got[0], want[0]):
+        assert got == want
+        return
+    found, loops = Counter(got[0]), Counter(want[0])
+    multiplicity = Counter()
+    for r, m in planted:
+        multiplicity[r] += m
+    assert all(multiplicity[r] >= 2 for r in (found - loops) + (loops - found))
+    quotient = list(coeffs)
+    for r in got[0]:
+        quotient = synthetic_division(quotient, r)
+    assert got[1] == (bits(numeric_roots(quotient)) if len(quotient) >= 2 else [])
 
 
 class TestSameAsTheLoopsItReplaced:
+    # The first numpy run snaps the double root 19/8 and the loops' run on
+    # the quotient by x + 2 does not; for the double root 30/7 next to the
+    # double root 1/2 it is the other way round.
+    @example(Fraction(1), (-2, 0, 1), [(Fraction(-2), 1), (Fraction(19, 8), 2)])
+    @example(Fraction(1), (3, 0, 1), [(Fraction(1), 1), (Fraction(1, 2), 2), (Fraction(30, 7), 2)])
     @settings(max_examples=150, deadline=None)
     @given(nonzero_fractions, st.sampled_from(IRRATIONAL_FACTORS), planted)
     def test_rational_roots(self, lead, factor, roots):
         p = tuple(expand(lead, [Fraction(c) for c in factor], roots))
-        assert outcome(rp.rational_roots, p) == outcome(reference_rational_roots, p)
+        assert_agrees(
+            outcome(rp.rational_roots, p), outcome(reference_rational_roots, p), p, numpy_roots, roots
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -67,15 +113,19 @@ class TestSameAsTheLoopsItReplaced:
     def test_gaussian_component_roots(self, lead, factor, roots):
         coeffs = expand(lead, [RationalComplex(Fraction(c)) for c in factor], roots)
         assume(len(coeffs) >= 2)
-        assert outcome(gaussian_roots, coeffs) == outcome(
-            reference_gaussian_roots, coeffs, polysolve.complex_roots
+        assert_agrees(
+            outcome(gaussian_roots, coeffs),
+            outcome(reference_gaussian_roots, coeffs, polysolve.complex_roots),
+            coeffs,
+            polysolve.complex_roots,
+            roots,
         )
 
 
 def gaussian_roots(coeffs):
     """``exact_roots`` with the ladder candidates of ``polysolve``, its
     exact points as ``RationalComplex`` values."""
-    exact, numeric = rp.exact_roots(coeffs, polysolve.complex_roots, polysolve._candidates)
+    exact, numeric = rp.exact_roots(*rp.gaussian_integers(coeffs), polysolve.complex_roots, polysolve._candidates)
     return [RationalComplex(Fraction(*re), Fraction(*im)) for re, im in exact], numeric
 
 
@@ -98,4 +148,4 @@ def test_constant_polynomials_call_no_finder():
         raise AssertionError("candidates called")
 
     for p in ((), (Fraction(3),), (RationalComplex(Fraction(1), Fraction(2)),)):
-        assert rp.exact_roots(p, finder, candidates) == ([], [])
+        assert rp.exact_roots(*rp.gaussian_integers(p), finder, candidates) == ([], [])

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -36,6 +37,7 @@ from hypercomplex.polysolve import (
     _SNAP_DENOMINATORS,
     _candidates,
     _component_roots,
+    _integer_spectra,
     _substitution,
 )
 from hypercomplex import ratpoly as rp
@@ -301,7 +303,7 @@ class TestExactDeflation:
         # 1 is no root of z**2 + 1; a candidate function that proposes it
         # anyway gets no exact root, and the numeric roots come back whole
         coeffs = [RationalComplex(Fraction(c)) for c in (1, 0, 1)]
-        exact, numeric = exact_roots(coeffs, complex_roots, lambda r: [((1, 1), (0, 1))])
+        exact, numeric = exact_roots(*rp.gaussian_integers(coeffs), complex_roots, lambda r: [((1, 1), (0, 1))])
         assert exact == []
         assert numeric == complex_roots([1, 0, 1])
 
@@ -442,22 +444,87 @@ def test_complex_roots_runs_once_per_deflated_polynomial(monkeypatch):
     assert calls == [4, 3]
 
 
+def counting_complex_roots(monkeypatch) -> list:
+    """Patch ``complex_roots`` to record the length of each coefficient list
+    it is run on."""
+    calls = []
+    original = polysolve.complex_roots
+    monkeypatch.setattr(polysolve, "complex_roots", lambda cs: calls.append(len(cs)) or original(cs))
+    return calls
+
+
+def rc(re, im=0):
+    return RationalComplex(Fraction(re), Fraction(im))
+
+
+class TestOneFinderRun:
+    def test_runs_once_when_every_root_is_exact(self, monkeypatch):
+        calls = counting_complex_roots(monkeypatch)
+        # a double root and three simple ones, all Gaussian rationals
+        planted = [rc(Fraction(2, 3), -1), rc(Fraction(2, 3), -1), rc(1), rc(0, Fraction(-1, 2)), rc(-3, 4)]
+        coeffs = times_roots([rc(Fraction(5, 2), 1)], planted)
+        assert _component_roots(coeffs) == sorted(planted, key=lambda z: (z.re, z.im))
+        assert calls == [6]
+
+    def test_the_root_that_proposed_a_hit_keeps_proposing(self, monkeypatch):
+        # (z)(z - i/2)(z - 1)(z**2 - 2): the root near i/2 may propose 0
+        # first and must still give i/2 from the same run
+        calls = counting_complex_roots(monkeypatch)
+        coeffs = times_roots([rc(-2), rc(0), rc(1)], [rc(0), rc(0, Fraction(1, 2)), rc(1)])
+        roots = _component_roots(coeffs)
+        assert roots[:3] == [rc(0), rc(0, Fraction(1, 2)), rc(1)]
+        assert not any(isinstance(r, RationalComplex) for r in roots[3:])
+        assert calls == [6, 3]
+        # a finder that sees only the root near i/2, whose ladder proposes
+        # 0 first: both roots come from it, in one run
+        runs = []
+
+        def finder(cs):
+            runs.append(len(cs))
+            return [complex(1e-9, 0.4999)]
+
+        two = times_roots([rc(1)], [rc(0), rc(0, Fraction(1, 2))])
+        exact, numeric = exact_roots(*rp.gaussian_integers(two), finder, _candidates)
+        assert exact == [((0, 1), (0, 1)), ((0, 1), (1, 2))]
+        assert (numeric, runs) == ([], [3])
+
+    def test_constrained_exact_roots_come_out_sorted(self):
+        # one run finds 1 first, proposed by the rung-1 fraction of the
+        # root near 7/10, and 7/10 after it
+        zero = rc(0)
+        component = times_roots([rc(1)], [rc(Fraction(7, 10)), rc(1)])
+        p = BicomplexPoly(tuple(Bicomplex.recompose(SplitPair(c, zero)) for c in component))
+        rs = solve(p)
+        assert rs.kind == "InfiniteFamily"
+        assert rs.family.constrained_roots == {0: (rc(Fraction(7, 10)), rc(1))}
+
+
 float_scalars = st.floats(min_value=-4, max_value=4)
 mixed_scalars = st.one_of(exact_scalars, float_scalars, st.sampled_from([0, 0.0, -0.0]))
 
 
 def kernel_of(element):
-    """(coefficient tuple of an element, product kernel) for its algebra."""
+    """(coefficient tuple of an element, product kernel, order) for its
+    algebra; the bicomplex numbers are order 2."""
     if isinstance(element, Bicomplex):
-        return Bicomplex.components, bicomplex_product
+        return Bicomplex.components, bicomplex_product, 2
     order = element.order
-    return Multicomplex.components, lambda a, b: multicomplex_product(a, b, order)
+    return Multicomplex.components, lambda a, b: multicomplex_product(a, b, order), order
+
+
+def substitution_of(coeffs, element):
+    """The substitution check of ``coeffs`` in the algebra of ``element``;
+    exact coefficients take the integer spectra of that algebra's order."""
+    parts, product, order = kernel_of(element)
+    tuples = [parts(c) for c in coeffs]
+    return _substitution(tuples, product, _integer_spectra(tuples, order))
 
 
 class TestIntegerSubstitution:
-    """Exact roots are substituted on integers; a nonzero value is divided
-    back so the residual is the element Horner's, bit for bit.  Other roots
-    take the element Horner's operations on coefficient tuples."""
+    """Exact roots are substituted on the integer spectra of the algebra's
+    order, 2 for the bicomplex numbers; a nonzero value is divided back so
+    the residual is the element Horner's, bit for bit.  Other roots take the
+    element Horner's operations on coefficient tuples."""
 
     @pytest.mark.parametrize(
         "algebra, scalars",
@@ -481,8 +548,8 @@ class TestIntegerSubstitution:
             elements = multicomplexes(algebra, scalars)
         coeffs = data.draw(st.lists(elements, min_size=2, max_size=5))
         x = data.draw(elements)
-        parts, product = kernel_of(x)
-        residual = _substitution([parts(c) for c in coeffs], product)
+        parts = kernel_of(x)[0]
+        residual = substitution_of(coeffs, x)
         want = repr(basis_norm(element_horner(coeffs, x)))
         assert repr(residual(parts(x))) == want
         if x.is_exact():
@@ -491,10 +558,13 @@ class TestIntegerSubstitution:
             assert repr(residual([3 * v for v in ints], 3 * d)) == want
 
     def test_exact_root_gives_exact_zero(self):
-        one, zero = Multicomplex.scalar(3, 1), Multicomplex.scalar(3, 0)
-        i1 = Multicomplex.unit(3, 0)
-        residual = _substitution([one.coeffs, zero.coeffs, one.coeffs], kernel_of(one)[1])
-        assert residual(i1.coeffs) == 0.0
+        for order in (2, 3, 4):
+            one, zero = Multicomplex.scalar(order, 1), Multicomplex.scalar(order, 0)
+            residual = substitution_of([one, zero, one], one)
+            for unit in range(order):
+                assert residual(Multicomplex.unit(order, unit).coeffs) == 0.0
+        residual = substitution_of([ONE, ZERO, ONE], ONE)
+        assert residual(I.components()) == residual(H.components()) == 0.0
 
 
 def chosen_root_polynomial(rng, order, degree, irrational):
@@ -619,24 +689,26 @@ class TestSubstitutionCatchesBadRecombination:
     coefficients) or on floats."""
 
     @staticmethod
-    def check_bicomplex(monkeypatch, one):
+    def check_bicomplex(monkeypatch, one, scale=1):
         delta = Bicomplex(0, 0, 0, Fraction(1, 1000))
         built = perturb_second_root(monkeypatch, delta.components())
-        coeffs = (Bicomplex(-one), ZERO, ONE)
+        coeffs = (Bicomplex(-one * scale), ZERO, Bicomplex(scale))
         with pytest.raises(NoConvergence) as excinfo:
             solve(BicomplexPoly(coeffs))
         residual = basis_norm(element_horner(coeffs, Bicomplex(*built[1]) + delta))
         assert f"residual {residual:.3e}" in str(excinfo.value)
+        return residual
 
     @staticmethod
-    def check_multicomplex(monkeypatch, order, one):
+    def check_multicomplex(monkeypatch, order, one, scale=1):
         delta = Multicomplex.scalar(order, Fraction(1, 1000))
         built = perturb_second_root(monkeypatch, delta.coeffs)
-        coeffs = [Multicomplex.scalar(order, -one), Multicomplex.scalar(order, 0), Multicomplex.scalar(order, 1)]
+        coeffs = [Multicomplex.scalar(order, -one * scale), Multicomplex.scalar(order, 0), Multicomplex.scalar(order, scale)]
         with pytest.raises(NoConvergence) as excinfo:
             mc_solve(coeffs)
         residual = basis_norm(element_horner(coeffs, Multicomplex(order, built[1]) + delta))
         assert f"residual {residual:.3e}" in str(excinfo.value)
+        return residual
 
     def test_bicomplex(self, monkeypatch):
         self.check_bicomplex(monkeypatch, 1)
@@ -651,3 +723,14 @@ class TestSubstitutionCatchesBadRecombination:
     @pytest.mark.parametrize("order", [2, 3])
     def test_multicomplex_float(self, monkeypatch, order):
         self.check_multicomplex(monkeypatch, order, 1.0)
+
+    @pytest.mark.parametrize("one", [1, 1.0])
+    @pytest.mark.parametrize("order", [None, 3])
+    def test_coefficient_scale_1e200(self, monkeypatch, order, one):
+        # the squares of 1e200 overflow; the tolerance must stay finite, or
+        # it accepts a root off by 1/1000 with a residual near 2e197
+        if order is None:
+            residual = self.check_bicomplex(monkeypatch, one, one * 10**200)
+        else:
+            residual = self.check_multicomplex(monkeypatch, order, one, one * 10**200)
+        assert 1e197 < residual < math.inf

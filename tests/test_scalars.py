@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypercomplex.scalars import (
     is_exact,
     make_complex,
     parse_scalar,
+    scalar_norm,
     times_i,
 )
 
@@ -149,3 +151,22 @@ class TestPowerProductCount:
         assert len(calls) == products
         if k:
             assert got == expected
+
+
+class TestScalarNorm:
+    @given(st.lists(st.floats(min_value=-1e150, max_value=1e150), max_size=8))
+    def test_keeps_the_bits_of_the_sum_of_squares(self, values):
+        assert scalar_norm(values) == math.sqrt(sum(v * v for v in values))
+
+    @pytest.mark.parametrize(
+        "values, norm",
+        [([1e200], 1e200), ([-1e200, 0.0, 0, 0], 1e200), ([3e200, 4e200], 5e200), ([10**300, 0], 1e300)],
+    )
+    def test_an_overflowing_sum_of_squares_stays_finite(self, values, norm):
+        # squaring each value overflows past about 1e154, which made every
+        # tolerance built on the norm infinite
+        assert scalar_norm(values) == pytest.approx(norm, rel=1e-15)
+
+    def test_nan_and_infinity_stay(self):
+        assert scalar_norm([1e200, math.inf]) == math.inf
+        assert math.isnan(scalar_norm([1e200, math.nan]))
