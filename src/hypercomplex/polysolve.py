@@ -22,8 +22,8 @@ candidates of :func:`_candidates`: a ladder of denominator bounds per
 coordinate, small ones first, all from one continued-fraction pass over
 the float (:func:`ratpoly.best_rationals`), as (numerator, denominator)
 ints.  The extractor alone checks them, and divides out a confirmed root;
-it runs the finder once per component polynomial, and again only on a
-quotient whose exact roots that run's candidates do not all give.
+it runs the finder once on a component polynomial that one run splits
+completely into simple exact roots, and once on each quotient otherwise.
 
 Everything exact runs on one fixed spectrum.  When every coefficient is
 exact, one common denominator D over all of them and one butterfly per
@@ -225,19 +225,28 @@ def _candidates(root: complex) -> list:
     )))
 
 
-def _component_roots(coeffs) -> list:
-    """Roots of one split-component polynomial, exact where provable.
-
-    Exact-coefficient components get their Gaussian-rational roots pulled
-    out by :func:`ratpoly.exact_roots` (with true multiplicity); only the
-    remaining rational-root-free part is left to the numeric finder.
-    """
-    if len(coeffs) <= 1:
-        return []
-    if not all(isinstance(c, RationalComplex) for c in coeffs):
-        return complex_roots(coeffs)
-    exact, numeric = exact_roots(*gaussian_integers(coeffs), complex_roots, _candidates)
+def _component_roots(coeffs, D: Optional[int] = None) -> list:
+    """Roots of one split-component polynomial, exact where provable: its
+    Gaussian-rational roots (with true multiplicity) as ``RationalComplex``
+    values, then the numeric roots of the rest.  ``coeffs`` are the
+    component's values, or with D the (re, im) ints of D times them."""
+    exact, numeric = _extract(coeffs, D)
     return [RationalComplex(Fraction(*re), Fraction(*im)) for re, im in exact] + numeric
+
+
+def _extract(coeffs, D: Optional[int] = None) -> tuple[list, list]:
+    """(exact points, numeric roots) of one split-component polynomial given
+    as for :func:`_component_roots`: exact coefficients go to
+    :func:`ratpoly.exact_roots`, which pulls out the Gaussian-rational roots
+    as (numerator, denominator) points; any other goes to the numeric
+    finder whole."""
+    if len(coeffs) <= 1:
+        return [], []
+    if D is None:
+        if not all(isinstance(c, RationalComplex) for c in coeffs):
+            return [], complex_roots(coeffs)
+        D, coeffs = gaussian_integers(coeffs)
+    return exact_roots(D, coeffs, complex_roots, _candidates)
 
 
 def _strip(coeffs: list) -> list:
@@ -293,12 +302,6 @@ class RootSet:
     roots: tuple = ()
     residuals: tuple = ()
     family: Optional[InfiniteFamily] = None
-
-
-def split_polynomial(p: BicomplexPoly) -> tuple[list, list]:
-    """Componentwise decomposition; trailing zero leading coefficients dropped."""
-    pairs = [c.decompose() for c in p.coeffs]
-    return _strip([z1 for z1, _ in pairs]), _strip([z2 for _, z2 in pairs])
 
 
 class _Algebra(NamedTuple):
@@ -377,6 +380,14 @@ def _integer_components(spectra, order: int) -> list:
     return comps
 
 
+def _split_components(coeffs, algebra: _Algebra) -> list:
+    """The split component polynomials of the degree-ascending coefficient
+    tuples ``coeffs``, by the algebra's own split of each coefficient, as it
+    gives them, vanishing leading values dropped."""
+    splits = [algebra.split(c) for c in coeffs]
+    return [_strip([s[i] for s in splits]) for i in range(len(splits[0]))]
+
+
 def _substitution(coeffs, product, spectra):
     """The substitution check of the polynomial with degree-ascending
     coefficient tuples ``coeffs`` in an algebra's basis, ``product`` the
@@ -437,19 +448,12 @@ def _substitution(coeffs, product, spectra):
     return residual
 
 
-def _root_record(z) -> tuple:
-    """A component root as the stage uses it: its float (real, imaginary)
-    pair, the sort key part and the value a float recombination takes, and
-    for an exact root (real, imaginary, d), the ints of d times it."""
-    if not isinstance(z, RationalComplex):
-        return (z.real, z.imag), None
-    return _point_record((z.re.as_integer_ratio(), z.im.as_integer_ratio()))
-
-
 def _point_record(point) -> tuple:
-    """:func:`_root_record` of the exact root at a (re, im) point of
-    (numerator, denominator) ints in lowest terms, the float pair rounded as
-    ``float(Fraction)``."""
+    """An exact component root as the stage uses it, from its (re, im) point
+    of (numerator, denominator) ints in lowest terms: its float (real,
+    imaginary) pair, rounded as ``float(Fraction)``, the sort key part and
+    the value a float recombination takes, and (real, imaginary, d), the
+    ints of d times it.  A float root's record is its pair and None."""
     (p, q), (r, s) = point
     d = math.lcm(q, s)
     return (p / q, r / s), (p * (d // q), r * (d // s), d)
@@ -457,7 +461,7 @@ def _point_record(point) -> tuple:
 
 def _recombine(combo, order: int, half) -> tuple:
     """The coefficients of the element whose split components are the roots
-    of ``combo`` (records of :func:`_root_record`), by the inverse butterfly,
+    of ``combo`` (records of :func:`_point_record`), by the inverse butterfly,
     as (coefficients, d).  When every root is exact they are the ints of d
     times the element, d being 2**(order-1) times the roots' common
     denominator; otherwise they are the recombination of the roots' floats,
@@ -488,18 +492,15 @@ def _solve_components(coeffs, algebra: _Algebra) -> RootSet:
     """
     spectra = _integer_spectra(coeffs, algebra.order)
     if spectra is None:
-        splits = [algebra.split(c) for c in coeffs]
-        comps = [_strip([s[i] for s in splits]) for i in range(len(splits[0]))]
+        D, comps = None, _split_components(coeffs, algebra)
     else:
         D, vectors = spectra
         comps = _integer_components(vectors, algebra.order)
     counts = tuple(max(len(c) - 1, 0) for c in comps)
     if any(not c for c in comps):
-        if spectra is not None:
-            comps = [[RationalComplex(Fraction(re, D), Fraction(im, D)) for re, im in c] for c in comps]
         free = tuple(i for i, c in enumerate(comps) if not c)
         constrained = {
-            i: tuple(_component_roots(c)) for i, c in enumerate(comps) if c
+            i: tuple(_component_roots(c, D)) for i, c in enumerate(comps) if c
         }
         return RootSet(
             kind="InfiniteFamily",
@@ -510,13 +511,10 @@ def _solve_components(coeffs, algebra: _Algebra) -> RootSet:
     if total > MAX_ROOTS:
         raise TooManyRoots(f"{total} roots exceed the cap of {MAX_ROOTS} per solve")
 
-    if spectra is None:
-        records = [[_root_record(z) for z in _component_roots(c)] for c in comps]
-    else:
-        records = []
-        for c in comps:
-            exact, numeric = exact_roots(D, c, complex_roots, _candidates)
-            records.append([_point_record(p) for p in exact] + [_root_record(z) for z in numeric])
+    records = []
+    for c in comps:
+        exact, numeric = _extract(c, D)
+        records.append([_point_record(p) for p in exact] + [((z.real, z.imag), None) for z in numeric])
     residual_of = _substitution(coeffs, algebra.product, spectra)
     tol = SOLVE_RESIDUAL_RTOL * (1.0 + max(scalar_norm(c) for c in coeffs))
     roots, residuals, keys = [], [], []

@@ -10,10 +10,8 @@ exact except the numeric root bridge at the bottom.
 one denominator: each numeric root proposes exact candidates, and the one
 Horner loop that confirms a candidate also gives its quotient, so every
 root is checked once, where it is divided out, to its full multiplicity.
-One numeric run serves the whole polynomial: after a hit the run's other
-candidates are tried on the quotient, and the finder runs again only once
-they are spent, so the numeric roots left come from a run on the final
-quotient.
+The numeric finder runs once on each quotient, or once in all on a
+polynomial that one run splits completely into simple exact roots.
 :func:`best_rationals` is the package's one best-rational-approximation
 routine: the nearest fraction to a float under each of a ladder of
 denominator bounds, from one continued-fraction pass, as (numerator,
@@ -188,44 +186,68 @@ def exact_roots(D: int, scaled, numeric_roots, candidates) -> tuple[list, list]:
 
     ``numeric_roots`` takes the coefficients as complex numbers rounded as
     ``float(Fraction)``.  ``candidates(r)`` yields the exact points near its
-    float root r to try, in order; it is called when r's turn comes, and
-    each point is tried once, since a point that is no root is no root of a
-    quotient either.  The first point on which the Horner loop of
-    :func:`_horner` vanishes is a root, the accumulators of that run give
-    its quotient, and it is divided out to its full multiplicity; nothing
-    else is divided out.  The candidates of the same run, those of the root
-    that proposed the hit included, are then tried on the quotient, and the
-    finder runs again only when they are spent after a hit, so the numeric
-    roots returned come from a run on the final quotient.
+    float root r to try, in order, and is called when r's turn comes.  The
+    first point on which the Horner loop of :func:`_horner` vanishes is a
+    root, the accumulators of that run give its quotient, and it is divided
+    out to its full multiplicity; nothing else is divided out.  Then
+    ``numeric_roots`` runs on the quotient, and so on until a run gives no
+    root.
+
+    One run may split the polynomial: when the first root of the first run
+    is simple, the rest of that run's candidates, those of the root that
+    proposed it included, are tried on the quotient, and if they divide it
+    out completely, each once, they are all the exact roots and no other
+    run is made.  Only a complete split is kept, so no exact root is lost
+    to it; otherwise the runs go on from the first quotient.
     """
     found: list = []
-    tried: set = set()
-    numeric: list = []
     while len(scaled) >= 2:
         numeric = numeric_roots([complex(re / D, im / D) for re, im in scaled])
-        known = len(found)
-        for point in (point for r in numeric for point in candidates(r)):
-            if point in tried:
-                continue
-            tried.add(point)
+        points = (point for r in numeric for point in candidates(r))
+        horner = None
+        for point in points:
             horner = _horner(scaled, *point)
-            while horner:
-                found.append(point)
-                D, scaled = _quotient(D, *horner)
-                horner = _horner(scaled, *point)
-            if len(scaled) < 2:
-                numeric = []
+            if horner:
                 break
-        if len(found) == known:
-            break
-    if len(found) > 1:
-        found.sort(key=_exact_value)
-    return found, numeric
+        if not horner:
+            return _by_value(found), numeric
+        while horner:
+            found.append(point)
+            D, scaled = _quotient(D, *horner)
+            horner = _horner(scaled, *point)
+        # one root found so far: the first run's first, and simple
+        if len(found) == 1 and len(scaled) >= 2:
+            rest = _complete_split(D, scaled, points)
+            if rest is not None:
+                return _by_value(found + rest), []
+    return _by_value(found), []
 
 
-def _exact_value(point) -> tuple:
-    (re_num, re_den), (im_num, im_den) = point
-    return Fraction(re_num, re_den), Fraction(im_num, im_den)
+def _complete_split(D: int, scaled, points):
+    """The points among ``points`` that divide the polynomial of
+    :func:`exact_roots` out completely, each a simple root, in the order
+    they are found; None if they do not."""
+    roots = []
+    for point in points:
+        horner = _horner(scaled, *point)
+        if not horner:
+            continue
+        roots.append(point)
+        D, scaled = _quotient(D, *horner)
+        if len(scaled) < 2:
+            return roots
+        if _horner(scaled, *point):
+            return None
+    return None
+
+
+def _by_value(points: list) -> list:
+    """Exact points sorted by value, real part first, on the ints of their
+    common denominator."""
+    if len(points) < 2:
+        return points
+    den = math.lcm(*[q for point in points for _, q in point])
+    return sorted(points, key=lambda point: tuple(p * (den // q) for p, q in point))
 
 
 def _rational_candidates(root: complex):

@@ -1,12 +1,12 @@
 """``ratpoly.exact_roots``, the one exact-root extractor of the package.
 
 Both of its callers find the exact roots the two loops it replaced found
-(kept in ``oracles``), and leave the same numeric roots, bit for bit; the
-numeric finder runs once on the polynomial it is handed, and again only on
-a quotient whose roots that run's candidates do not all give.
+(kept in ``oracles``), with their multiplicities, and leave the same numeric
+roots, bit for bit; the numeric finder runs once on a polynomial that one
+run splits completely into simple exact roots, and once on each quotient
+otherwise.
 """
 
-from collections import Counter
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
@@ -16,8 +16,6 @@ from hypercomplex import polysolve, surd
 from hypercomplex import ratpoly as rp
 from hypercomplex.scalars import RationalComplex
 
-from oracles import _numpy_roots as numpy_roots
-from oracles import _synthetic_division as synthetic_division
 from oracles import reference_gaussian_roots, reference_rational_roots
 from strategies import small_fractions
 
@@ -56,53 +54,22 @@ def outcome(extract, *args):
     except polysolve.NoConvergence as exc:
         return "NoConvergence", str(exc)
     exact = sorted(exact, key=lambda z: (z.real, z.imag))
-    return exact, bits(numeric)
-
-
-def bits(roots) -> list:
-    return [(z.real.hex(), z.imag.hex()) for z in roots]
-
-
-def assert_agrees(got, want, coeffs, numeric_roots, planted):
-    """``got`` is the extractor's outcome on ``coeffs`` and ``want`` the
-    loops'; ``planted`` holds the (root, multiplicity) pairs behind
-    ``coeffs``, whose other factor has no exact root.
-
-    The loops ran the finder again on each quotient after a hit, the
-    extractor only once the candidates of its last run are spent.  A finder
-    spreads a multiple root by float noise, and whether a spread root still
-    snaps depends on the run, so the two may differ in multiple roots,
-    either way.  In every other root they agree, and when they find the same
-    roots the numeric bits are equal too.  Whatever the extractor finds
-    divides the polynomial exactly, and its numeric roots are those of one
-    finder run on the quotient, bit for bit."""
-    if got == want or "NoConvergence" in (got[0], want[0]):
-        assert got == want
-        return
-    found, loops = Counter(got[0]), Counter(want[0])
-    multiplicity = Counter()
-    for r, m in planted:
-        multiplicity[r] += m
-    assert all(multiplicity[r] >= 2 for r in (found - loops) + (loops - found))
-    quotient = list(coeffs)
-    for r in got[0]:
-        quotient = synthetic_division(quotient, r)
-    assert got[1] == (bits(numeric_roots(quotient)) if len(quotient) >= 2 else [])
+    return exact, [(z.real.hex(), z.imag.hex()) for z in numeric]
 
 
 class TestSameAsTheLoopsItReplaced:
-    # The first numpy run snaps the double root 19/8 and the loops' run on
-    # the quotient by x + 2 does not; for the double root 30/7 next to the
-    # double root 1/2 it is the other way round.
+    # The first numpy run gives both the simple root -2 and the double root
+    # 19/8, while the loops' run on the quotient by x + 2 does not snap
+    # 19/8; with the double roots 1/2 and 30/7 the runs differ the other
+    # way.  Neither polynomial splits completely, so each takes a run per
+    # root, as the loops did.
     @example(Fraction(1), (-2, 0, 1), [(Fraction(-2), 1), (Fraction(19, 8), 2)])
     @example(Fraction(1), (3, 0, 1), [(Fraction(1), 1), (Fraction(1, 2), 2), (Fraction(30, 7), 2)])
     @settings(max_examples=150, deadline=None)
-    @given(nonzero_fractions, st.sampled_from(IRRATIONAL_FACTORS), planted)
+    @given(nonzero_fractions, st.sampled_from(IRRATIONAL_FACTORS + ((1,),)), planted)
     def test_rational_roots(self, lead, factor, roots):
         p = tuple(expand(lead, [Fraction(c) for c in factor], roots))
-        assert_agrees(
-            outcome(rp.rational_roots, p), outcome(reference_rational_roots, p), p, numpy_roots, roots
-        )
+        assert outcome(rp.rational_roots, p) == outcome(reference_rational_roots, p)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -113,12 +80,8 @@ class TestSameAsTheLoopsItReplaced:
     def test_gaussian_component_roots(self, lead, factor, roots):
         coeffs = expand(lead, [RationalComplex(Fraction(c)) for c in factor], roots)
         assume(len(coeffs) >= 2)
-        assert_agrees(
-            outcome(gaussian_roots, coeffs),
-            outcome(reference_gaussian_roots, coeffs, polysolve.complex_roots),
-            coeffs,
-            polysolve.complex_roots,
-            roots,
+        assert outcome(gaussian_roots, coeffs) == outcome(
+            reference_gaussian_roots, coeffs, polysolve.complex_roots
         )
 
 

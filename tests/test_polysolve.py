@@ -31,13 +31,14 @@ from hypercomplex.polysolve import (
     complex_roots,
     mc_solve,
     solve,
-    split_polynomial,
 )
 from hypercomplex.polysolve import (
+    _BICOMPLEX,
     _SNAP_DENOMINATORS,
     _candidates,
     _component_roots,
     _integer_spectra,
+    _split_components,
     _substitution,
 )
 from hypercomplex import ratpoly as rp
@@ -46,6 +47,11 @@ from hypercomplex.scalars import RationalComplex, common_denominator, scalar_nor
 
 from oracles import element_path_root_set
 from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
+
+
+def split_polynomial(p: BicomplexPoly) -> list:
+    """The two split component polynomials of p, by the solver's own split."""
+    return _split_components([c.components() for c in p.coeffs], _BICOMPLEX)
 
 
 def expand_from_roots(roots):
@@ -458,23 +464,30 @@ def rc(re, im=0):
 
 
 class TestOneFinderRun:
-    def test_runs_once_when_every_root_is_exact(self, monkeypatch):
+    def test_runs_once_when_every_root_is_exact_and_simple(self, monkeypatch):
         calls = counting_complex_roots(monkeypatch)
-        # a double root and three simple ones, all Gaussian rationals
-        planted = [rc(Fraction(2, 3), -1), rc(Fraction(2, 3), -1), rc(1), rc(0, Fraction(-1, 2)), rc(-3, 4)]
+        planted = [rc(Fraction(2, 3), -1), rc(1), rc(0, Fraction(-1, 2)), rc(-3, 4)]
         coeffs = times_roots([rc(Fraction(5, 2), 1)], planted)
         assert _component_roots(coeffs) == sorted(planted, key=lambda z: (z.re, z.im))
-        assert calls == [6]
+        assert calls == [5]
+
+    def test_a_multiple_root_takes_a_run_per_root(self, monkeypatch):
+        # a double root: the first run's split is dropped at it, and the
+        # finder runs on each quotient from the first hit, -i/2, on, as it
+        # does when a component does not split completely
+        calls = counting_complex_roots(monkeypatch)
+        planted = [rc(Fraction(2, 3), -1), rc(Fraction(2, 3), -1), rc(1), rc(0, Fraction(-1, 2))]
+        coeffs = times_roots([rc(Fraction(5, 2), 1)], planted)
+        assert _component_roots(coeffs) == sorted(planted, key=lambda z: (z.re, z.im))
+        assert calls == [5, 4, 2]
 
     def test_the_root_that_proposed_a_hit_keeps_proposing(self, monkeypatch):
-        # (z)(z - i/2)(z - 1)(z**2 - 2): the root near i/2 may propose 0
-        # first and must still give i/2 from the same run
+        # (z)(z - i/2)(z - 1): the root near i/2 may propose 0 first and
+        # must still give i/2 from the same run
         calls = counting_complex_roots(monkeypatch)
-        coeffs = times_roots([rc(-2), rc(0), rc(1)], [rc(0), rc(0, Fraction(1, 2)), rc(1)])
-        roots = _component_roots(coeffs)
-        assert roots[:3] == [rc(0), rc(0, Fraction(1, 2)), rc(1)]
-        assert not any(isinstance(r, RationalComplex) for r in roots[3:])
-        assert calls == [6, 3]
+        coeffs = times_roots([rc(1)], [rc(0), rc(0, Fraction(1, 2)), rc(1)])
+        assert _component_roots(coeffs) == [rc(0), rc(0, Fraction(1, 2)), rc(1)]
+        assert calls == [4]
         # a finder that sees only the root near i/2, whose ladder proposes
         # 0 first: both roots come from it, in one run
         runs = []
