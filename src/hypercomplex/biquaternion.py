@@ -143,7 +143,18 @@ class Biquaternion(Element):
         return all(abs(float(v)) <= rtol * scale for v in self.imag_part())
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(complex(c)) ** 2 for c in self.components()))
+        """Euclidean size of the eight real coefficients.  A sum of squares
+        that overflows is taken again by ``math.hypot``, which scales, so a
+        finite element has a finite norm; every other result keeps the bits
+        of the plain sum."""
+        values = [complex(c) for c in self.components()]
+        try:
+            norm = math.sqrt(sum(abs(z) ** 2 for z in values))
+        except OverflowError:
+            norm = math.inf
+        if norm == math.inf:
+            return math.hypot(*(x for z in values for x in (z.real, z.imag)))
+        return norm
 
     # -- 2x2 matrix representation -----------------------------------------
 
@@ -172,13 +183,32 @@ class Biquaternion(Element):
         return c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
 
     def is_nullifier(self) -> bool:
-        """True iff self is a zero divisor."""
+        """True iff self is a zero divisor: det vanishes, exactly on exact
+        components, else within ``NULLIFIC_RTOL * (1 + norm)**2``.
+
+        Where det or that bound leaves the float range on finite components,
+        the test is made on the element scaled by a power of two to a largest
+        coefficient near 2**500.  det is homogeneous of degree 2 and there
+        1 + norm rounds to norm, so both sides scale alike and the test keeps
+        its meaning.
+        """
         if self.is_zero():
             raise ZeroInput("nullifier test is undefined at zero")
         d = self.det()
         if self.is_exact():
             return not d
-        return abs(complex(d)) <= NULLIFIC_RTOL * (1.0 + self.norm()) ** 2
+        d = complex(d)
+        try:
+            size, bound = abs(d), NULLIFIC_RTOL * (1.0 + self.norm()) ** 2
+        except OverflowError:
+            size = bound = math.inf
+        if not (math.isfinite(size) and math.isfinite(bound)):
+            values = [complex(c) for c in self.components()]
+            parts = [abs(x) for z in values for x in (z.real, z.imag)]
+            if all(map(math.isfinite, parts)):
+                scale = math.ldexp(1.0, 500 - math.frexp(max(parts))[1])
+                return Biquaternion(*(z * scale for z in values)).is_nullifier()
+        return size <= bound
 
     # -- bicomplex bridge ----------------------------------------------------
 

@@ -163,6 +163,47 @@ class TestNullifier:
             assert (a * x).norm() <= 1e-9
 
 
+class TestHugeFloatComponents:
+    """Finite components whose squares overflow: the norm falls back to a
+    scaled hypot and the nullifier test to the element scaled by a power of
+    two; every finite result of the plain formulas keeps its bits."""
+
+    def test_huge_real_scalar_is_regular(self):
+        q = Biquaternion(1e200 + 0j, 0j, 0j, 0j)
+        assert q.norm() == 1e200
+        assert not q.is_nullifier()
+        assert q.is_real_quaternion()
+
+    def test_huge_nullifier_whose_det_is_nan(self):
+        q = Biquaternion(1e200, 1e200j, 0, 0)
+        assert math.isnan(complex(q.det()).real)  # inf - inf
+        assert q.is_nullifier()
+        assert not q.is_real_quaternion()
+        assert q.norm() == math.hypot(1e200, 1e200)
+
+    def test_huge_elements_decide_as_their_large_finite_multiples(self):
+        rng = np.random.default_rng(17)
+        for j in range(60):
+            parts = rng.uniform(-1, 1, 8)
+            q = Biquaternion(*(complex(parts[2 * m], parts[2 * m + 1]) for m in range(4)))
+            if j % 2:  # move it onto a nullifier, up to a residue near the tolerance
+                c0, c1, c2, c3 = q.components()
+                gap = 10.0 ** rng.uniform(-15, -9)
+                q = Biquaternion(1j * (c1 * c1 + c2 * c2 + c3 * c3 + gap) ** 0.5, c1, c2, c3)
+            finite = Biquaternion(*(c * 2.0**500 for c in q.components()))
+            huge = Biquaternion(*(c * 2.0**600 for c in q.components()))
+            assert math.isfinite(abs(complex(finite.det())))
+            assert not math.isfinite(abs(complex(huge.det())))
+            assert huge.is_nullifier() == finite.is_nullifier()
+
+    def test_ordinary_norms_keep_the_plain_sum(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            parts = rng.uniform(-1e3, 1e3, 8) * 10.0 ** rng.integers(-100, 100)
+            q = Biquaternion(*(complex(parts[2 * m], parts[2 * m + 1]) for m in range(4)))
+            assert q.norm() == math.sqrt(sum(abs(complex(c)) ** 2 for c in q.components()))
+
+
 class TestComplanar:
     def test_omega_maps_to_h(self):
         assert OMEGA.complanar_to_bicomplex() == Bicomplex(0, 0, 1, 0)

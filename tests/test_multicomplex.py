@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -202,6 +203,95 @@ class TestFloatBits:
                 assert repr((a * c).coeffs) == want
                 assert repr((c * a).coeffs) == want
                 assert repr((a * Multicomplex.scalar(order, c)).coeffs) == want
+
+
+class TestGatheredProduct:
+    """Dense zero-free products at orders 4..8 run the direct sum's additions
+    through the gather tables; they must give its bits, and every other
+    product must keep its route."""
+
+    SPECIAL = (
+        5e-324, -5e-324, 2.5e-310, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan,
+        3, -2, Fraction(-2, 3), Fraction(7, 5),
+    )
+
+    @classmethod
+    def dense(cls, rng, order, special_share):
+        return Multicomplex(order, tuple(
+            rng.choice(cls.SPECIAL) if rng.random() < special_share else rng.uniform(-2.0, 2.0)
+            for _ in range(1 << order)
+        ))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_tables_match_the_word_reduction(self, order):
+        size = 1 << order
+        indices = tuple(range(2 * size))
+        gathers = multicomplex._gathers(order)
+        assert len(gathers) == size
+        for s in range(size):
+            for t in range(size):
+                sign, mask = commuting_word_product(s, t, order)
+                assert gathers[mask](indices)[s] == t + (size if sign < 0 else 0)
+
+    @pytest.mark.parametrize("order,kernel", [
+        (3, "_direct_product"), (4, "_gathered_product"), (5, "_gathered_product"),
+        (6, "_gathered_product"), (7, "_gathered_product"), (8, "_gathered_product"),
+        (9, "_direct_product"),
+    ])
+    def test_products_and_powers_match_the_oracle(self, order, kernel):
+        rng = random.Random(4000 + order)
+        pairs = 6 if order <= 6 else 1
+        for j in range(pairs):
+            share = (0.0, 0.05, 0.3)[j % 3]
+            a, b = self.dense(rng, order, share), self.dense(rng, order, share)
+            assert multicomplex._route(a.coeffs, b.coeffs, order).__name__ == kernel
+            want = repr(tuple(subset_rule_product(a.coeffs, b.coeffs, order)))
+            assert repr((a * b).coeffs) == want
+            assert repr(multicomplex.product(a.coeffs, b.coeffs, order)) == want
+            if order <= 8:
+                assert repr((b * a).coeffs) == repr(tuple(subset_rule_product(b.coeffs, a.coeffs, order)))
+        if order > 8:
+            return
+        # binary_power: a**2 is one * (a * a), a**3 is (one * a) * (a * a)
+        one = [1] + [0] * ((1 << order) - 1)
+        square = subset_rule_product(a.coeffs, a.coeffs, order)
+        assert repr((a**2).coeffs) == repr(tuple(subset_rule_product(one, square, order)))
+        if order <= 6:
+            first = subset_rule_product(one, a.coeffs, order)
+            assert repr((a**3).coeffs) == repr(tuple(subset_rule_product(first, square, order)))
+
+    def test_products_that_overflow_give_the_direct_sums_inf_and_nan(self):
+        a = Multicomplex(4, (1.7e308,) * 8 + (-1.7e308,) * 8)
+        b = Multicomplex(4, (1.5,) * 16)
+        got = (a * b).coeffs
+        assert repr(got) == repr(tuple(subset_rule_product(a.coeffs, b.coeffs, 4)))
+        assert any(math.isinf(x) for x in got) and any(math.isnan(x) for x in got)
+
+    def test_one_zero_coefficient_takes_the_direct_sum(self):
+        rng = random.Random(4100)
+        for order in (4, 6, 8):
+            a, b = self.dense(rng, order, 0.1), self.dense(rng, order, 0.1)
+            for zero in (0, 0.0, -0.0, Fraction(0)):
+                coeffs = list(a.coeffs)
+                coeffs[rng.randrange(len(coeffs))] = zero
+                c = Multicomplex(order, tuple(coeffs))
+                assert multicomplex._route(c.coeffs, b.coeffs, order) is multicomplex._direct_product
+                assert multicomplex._route(b.coeffs, c.coeffs, order) is multicomplex._direct_product
+                assert repr((c * b).coeffs) == repr(tuple(subset_rule_product(c.coeffs, b.coeffs, order)))
+
+    def test_an_output_no_term_lands_on_stays_the_int_zero(self):
+        rng = random.Random(4200)
+        b = self.dense(rng, 5, 0.0)
+        for zeros in ((0.0,) * 32, (0,) * 32, (-0.0,) * 32):
+            got = (Multicomplex(5, zeros) * b).coeffs
+            assert got == (0,) * 32 and all(type(x) is int for x in got)
+
+    def test_exact_dense_operands_stay_on_the_spectrum(self):
+        rng = random.Random(4300)
+        for order in (4, 8):
+            a = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(1 << order))
+            b = tuple(rng.randint(1, 9) for _ in range(1 << order))
+            assert multicomplex._route(a, b, order) is multicomplex._spectral_product
 
 
 kernel_exact = st.one_of(small_fractions, small_ints)
