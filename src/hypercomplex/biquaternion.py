@@ -139,7 +139,17 @@ class Biquaternion(Element):
         return tuple(c.imag for c in self.components())
 
     def is_real_quaternion(self, rtol: float = REAL_PART_RTOL) -> bool:
+        """True iff every w-part is within ``rtol * (1 + norm)``.
+
+        Where the norm leaves the float range on finite components, the test
+        is made on the element scaled as in :meth:`is_nullifier`: both sides
+        are homogeneous of degree 1 there.
+        """
         scale = 1.0 + self.norm()
+        if scale == math.inf:
+            scaled = self._scaled()
+            if scaled is not None:
+                return scaled.is_real_quaternion(rtol)
         return all(abs(float(v)) <= rtol * scale for v in self.imag_part())
 
     def norm(self) -> float:
@@ -203,12 +213,20 @@ class Biquaternion(Element):
         except OverflowError:
             size = bound = math.inf
         if not (math.isfinite(size) and math.isfinite(bound)):
-            values = [complex(c) for c in self.components()]
-            parts = [abs(x) for z in values for x in (z.real, z.imag)]
-            if all(map(math.isfinite, parts)):
-                scale = math.ldexp(1.0, 500 - math.frexp(max(parts))[1])
-                return Biquaternion(*(z * scale for z in values)).is_nullifier()
+            scaled = self._scaled()
+            if scaled is not None:
+                return scaled.is_nullifier()
         return size <= bound
+
+    def _scaled(self):
+        """self times the power of two that brings its largest real
+        coefficient near 2**500, or None when a coefficient is not finite."""
+        values = [complex(c) for c in self.components()]
+        parts = [abs(x) for z in values for x in (z.real, z.imag)]
+        if not all(map(math.isfinite, parts)):
+            return None
+        scale = math.ldexp(1.0, 500 - math.frexp(max(parts))[1])
+        return Biquaternion(*(z * scale for z in values))
 
     # -- bicomplex bridge ----------------------------------------------------
 

@@ -9,11 +9,16 @@ carries a top-level ``"schema": "1"``.
 
 Exit codes: 0 success, 1 computational error (not invertible, degenerate
 spectrum, no convergence, corpus mismatch, ...), 2 parse or usage error.
+
+A call imports only the algebra modules its subcommand runs (``bc mul``
+loads ``scalars`` and ``bicomplex``; ``surd analyze`` loads ``scalars``,
+``ratpoly`` and ``surd``), and a process builds the parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -22,27 +27,20 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-from . import biquaternion as bq
-from . import multicomplex as mc
-from . import polysolve, quadruple, surd
-from . import ratpoly as rp
-from .bicomplex import Bicomplex, NotInvertible
-from .scalars import ZeroInput, format_scalar
+from .scalars import format_scalar
 
 SCHEMA = "1"
 
-COMPUTATIONAL_ERRORS = (
-    NotInvertible,
-    polysolve.ZeroPolynomial,
-    polysolve.NoConvergence,
-    polysolve.TooManyRoots,
-    bq.NotComplanar,
-    bq.DegenerateSpectrum,
-    ZeroInput,
-    mc.OrderMismatch,
-    quadruple.TableMismatch,
-    surd.VanishedStock,
-)
+# submodule -> its computational error classes, which exit 1
+COMPUTATIONAL_ERRORS = {
+    "bicomplex": ("NotInvertible",),
+    "biquaternion": ("NotComplanar", "DegenerateSpectrum"),
+    "multicomplex": ("OrderMismatch",),
+    "polysolve": ("ZeroPolynomial", "NoConvergence", "TooManyRoots"),
+    "quadruple": ("TableMismatch",),
+    "scalars": ("ZeroInput",),
+    "surd": ("VanishedStock",),
+}
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -56,7 +54,11 @@ class _SubcommandParser(argparse.ArgumentParser):
         return None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call (the corpus runner calls ``main`` once per case), so callers must
+    not change it."""
     parser = argparse.ArgumentParser(
         prog="hypercomplex",
         description="Exact computer algebra for bicomplex/tessarine numbers, "
@@ -89,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algebra", help="quadruple-algebra Cayley tables")
     algebra_sub = p.add_subparsers(dest="algebra_op", required=True)
     t = algebra_sub.add_parser("table", help="print a derived 4x4 table")
-    t.add_argument("system", choices=list(quadruple.SYSTEM_NAMES))
+    # quadruple.SYSTEM_NAMES, written out so that parsing loads no algebra
+    t.add_argument("system", choices=["quaternion", "tessarine", "coquaternion", "cotessarine"])
     _add_format(t)
 
     p = sub.add_parser("poly", help="polynomial roots over split algebras")
@@ -144,12 +147,26 @@ def main(argv=None) -> int:
             return _cmd_corpus(args)
         print(_dispatch(args))
         return 0
-    except COMPUTATIONAL_ERRORS as exc:
+    except Exception as exc:
+        if isinstance(exc, _computational_errors()):
+            code = 1
+        elif isinstance(exc, (ValueError, OSError, ZeroDivisionError)):
+            code = 2
+        else:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (surd.ParseError, ValueError, OSError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return code
+
+
+def _computational_errors() -> tuple:
+    """The classes of COMPUTATIONAL_ERRORS whose modules are loaded: an
+    exception can only come from a module that is loaded."""
+    errors = []
+    for module, names in COMPUTATIONAL_ERRORS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.extend(getattr(loaded, name) for name in names)
+    return tuple(errors)
 
 
 def _dispatch(args) -> str:
@@ -186,6 +203,8 @@ def _complex_text(z) -> str:
 
 
 def _cmd_bc(args) -> str:
+    from .bicomplex import Bicomplex
+
     n_args = {"add": 2, "mul": 2}.get(args.op, 1)
     if len(args.elements) != n_args:
         raise ValueError(f"bc {args.op} takes exactly {n_args} element(s)")
@@ -227,10 +246,12 @@ def _cmd_bc(args) -> str:
 
 
 def _cmd_mc(args) -> str:
+    from .multicomplex import Multicomplex
+
     n_args = {"add": 2, "mul": 2}.get(args.op, 1)
     if len(args.elements) != n_args:
         raise ValueError(f"mc {args.op} takes exactly {n_args} element(s)")
-    elems = [mc.Multicomplex.parse(e, args.order) for e in args.elements]
+    elems = [Multicomplex.parse(e, args.order) for e in args.elements]
     if args.op in ("add", "mul"):
         result = elems[0] + elems[1] if args.op == "add" else elems[0] * elems[1]
         return _emit(result.to_json(), str(result), args.format)
@@ -252,6 +273,8 @@ def _cmd_mc(args) -> str:
 
 
 def _cmd_algebra(args) -> str:
+    from . import quadruple
+
     table = quadruple.named_table(args.system)
     rows = table.rows_str()
     payload = {
@@ -273,6 +296,10 @@ def _cmd_algebra(args) -> str:
 
 
 def _cmd_poly(args) -> str:
+    from . import polysolve
+    from .bicomplex import Bicomplex
+    from .multicomplex import Multicomplex
+
     lines = [
         line.strip()
         for line in Path(args.coeffs).read_text(encoding="utf-8").splitlines()
@@ -285,7 +312,7 @@ def _cmd_poly(args) -> str:
         root_text = [str(r) for r in roots.roots]
     elif args.algebra.startswith("mc:"):
         order = int(args.algebra.split(":", 1)[1])
-        coeffs = [mc.Multicomplex.parse(l, order) for l in lines]
+        coeffs = [Multicomplex.parse(l, order) for l in lines]
         roots = polysolve.mc_solve(coeffs, order)
         root_json = [r.to_json() for r in roots.roots]
         root_text = [str(r) for r in roots.roots]
@@ -328,6 +355,8 @@ def _cmd_poly(args) -> str:
 
 
 def _cmd_biq(args) -> str:
+    from . import biquaternion as bq
+
     if args.biq_op == "mul":
         a = bq.Biquaternion.parse(args.elements[0])
         b = bq.Biquaternion.parse(args.elements[1])
@@ -355,6 +384,9 @@ def _cmd_biq(args) -> str:
 
 
 def _cmd_surd(args) -> str:
+    from . import ratpoly as rp
+    from . import surd
+
     fmt = "json" if args.json else args.format
     eq = surd.parse_surd(args.equation)
     report = surd.classify_roots(eq)
@@ -427,6 +459,9 @@ def _cmd_corpus(args) -> int:
     if not cases:
         print(f"warning: 0 cases in {directory}")
         return 0
+    # Every subcommand's modules, loaded before the first case and so before
+    # numpy: loaded between cases, after it, they raised the peak RSS by 1 MB.
+    from . import biquaternion, polysolve, quadruple, surd  # noqa: F401
 
     failures = 0
     for case_path in cases:

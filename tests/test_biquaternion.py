@@ -165,8 +165,9 @@ class TestNullifier:
 
 class TestHugeFloatComponents:
     """Finite components whose squares overflow: the norm falls back to a
-    scaled hypot and the nullifier test to the element scaled by a power of
-    two; every finite result of the plain formulas keeps its bits."""
+    scaled hypot, and the nullifier and real-quaternion tests to the element
+    scaled by a power of two; every finite result of the plain formulas
+    keeps its bits."""
 
     def test_huge_real_scalar_is_regular(self):
         q = Biquaternion(1e200 + 0j, 0j, 0j, 0j)
@@ -180,6 +181,27 @@ class TestHugeFloatComponents:
         assert q.is_nullifier()
         assert not q.is_real_quaternion()
         assert q.norm() == math.hypot(1e200, 1e200)
+
+    def test_overflowing_norm_keeps_the_real_quaternion_test(self):
+        q = Biquaternion(1e308 + 1e308j, 1e308, 1e308, 1e308)
+        assert q.norm() == math.inf
+        assert not q.is_real_quaternion()
+        assert Biquaternion(1e308, 1e308, 1e308, 1e308).is_real_quaternion()
+        assert Biquaternion(1e308 + 1e290j, 1e308, 1e308, 1e308).is_real_quaternion()
+
+    def test_real_quaternion_test_past_the_float_range_decides_as_a_finite_multiple(self):
+        rng = np.random.default_rng(19)
+        for j in range(60):
+            re_parts = rng.uniform(1.5, 1.9, 4) * rng.choice([-1.0, 1.0], 4)
+            w_parts = rng.uniform(-1, 1, 4)
+            if j % 2:  # w-parts near the tolerance of 1e-9 * norm
+                w_parts *= 10.0 ** rng.uniform(-11, -8)
+            q = Biquaternion(*(complex(x, w) for x, w in zip(re_parts, w_parts)))
+            finite = Biquaternion(*(c * 2.0**500 for c in q.components()))
+            huge = Biquaternion(*(c * 2.0**1023 for c in q.components()))
+            assert math.isfinite(finite.norm())
+            assert huge.norm() == math.inf
+            assert huge.is_real_quaternion() == finite.is_real_quaternion()
 
     def test_huge_elements_decide_as_their_large_finite_multiples(self):
         rng = np.random.default_rng(17)

@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import io
 import json
 import time
@@ -5,7 +7,15 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from hypercomplex import cli, quadruple
+from hypercomplex.bicomplex import NotInvertible
+from hypercomplex.biquaternion import DegenerateSpectrum, NotComplanar
 from hypercomplex.cli import main
+from hypercomplex.multicomplex import OrderMismatch
+from hypercomplex.polysolve import NoConvergence, TooManyRoots, ZeroPolynomial
+from hypercomplex.quadruple import TableMismatch
+from hypercomplex.scalars import InvariantError, ZeroInput
+from hypercomplex.surd import ParseError, VanishedStock
 
 
 def run(*argv):
@@ -95,6 +105,15 @@ class TestMc:
 
 
 class TestAlgebra:
+    def test_table_choices_are_the_named_systems_in_order(self):
+        def subparser(parser, name):
+            action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return action.choices[name]
+
+        table = subparser(subparser(cli.build_parser(), "algebra"), "table")
+        system = next(a for a in table._actions if a.dest == "system")
+        assert tuple(system.choices) == quadruple.SYSTEM_NAMES
+
     def test_tessarine_table_is_commutative_text(self):
         code, out, _ = run("algebra", "table", "tessarine")
         assert code == 0
@@ -331,3 +350,49 @@ class TestCorpus:
         code, out, _ = run("corpus", str(tmp_path))
         assert code == 1
         assert "invalid case file" in out
+
+
+COMPUTATIONAL = (
+    NotInvertible, ZeroPolynomial, NoConvergence, TooManyRoots, NotComplanar,
+    DegenerateSpectrum, ZeroInput, OrderMismatch, TableMismatch, VanishedStock,
+)
+
+
+class TestExitCodes:
+    """main turns what a subcommand raises into its exit code and one
+    stderr line; anything else propagates."""
+
+    def run_raising(self, monkeypatch, exc):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_bc", handler)
+        return run("bc", "norm", "1")
+
+    def test_table_lists_the_computational_errors_by_module(self):
+        listed = [
+            getattr(importlib.import_module(f"hypercomplex.{module}"), name)
+            for module, names in cli.COMPUTATIONAL_ERRORS.items()
+            for name in names
+        ]
+        assert sorted(listed, key=str) == sorted(COMPUTATIONAL, key=str)
+
+    @pytest.mark.parametrize("error", COMPUTATIONAL, ids=lambda e: e.__name__)
+    def test_computational_errors_exit_one(self, monkeypatch, error):
+        assert self.run_raising(monkeypatch, error("boom")) == (1, "", "error: boom\n")
+
+    @pytest.mark.parametrize(
+        "exc",
+        [ParseError("boom", 0), ValueError("boom"), OSError("boom"), ZeroDivisionError("boom")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_parse_and_usage_errors_exit_two(self, monkeypatch, exc):
+        assert self.run_raising(monkeypatch, exc) == (2, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("error", [TypeError, KeyError, InvariantError, ArithmeticError])
+    def test_other_errors_propagate(self, monkeypatch, error):
+        with pytest.raises(error):
+            self.run_raising(monkeypatch, error("boom"))
+
+    def test_parser_is_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()

@@ -1,11 +1,13 @@
-"""numpy stays off the import path: only the numeric kernels load it.
+"""Imports load only what a call runs.
 
-``import hypercomplex`` and the CLI subcommands that do exact algebra must
-not import numpy, which costs about as much as the rest of a CLI call.
-Each check runs in a fresh interpreter, because this test process may
-have loaded numpy already.
+``import hypercomplex`` loads no submodule, each CLI subcommand loads only
+its own modules, and the subcommands that do exact algebra never import
+numpy, which costs about as much as the rest of a CLI call.  Each check
+runs in a fresh interpreter, because this test process has loaded every
+module already.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -58,3 +60,89 @@ def test_exact_subcommands_run_without_numpy(argv, tmp_path):
     assert normal.returncode == 0, normal.stderr
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == normal.stdout
+
+
+# Prints the hypercomplex submodules loaded in this interpreter as JSON.
+PRINT_LOADED = (
+    "import json, sys; print(json.dumps(sorted("
+    "m.split('.')[1] for m in sys.modules if m.startswith('hypercomplex.'))))"
+)
+
+
+def test_package_import_loads_no_submodule():
+    result = python("import hypercomplex; " + PRINT_LOADED)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+SUBMODULES = (
+    "bicomplex", "biquaternion", "cli", "multicomplex", "polysolve",
+    "quadruple", "ratpoly", "scalars", "surd",
+)
+
+
+def test_every_public_name_and_submodule_resolves():
+    code = """
+import importlib, json, sys
+import hypercomplex
+names = {}
+exec("from hypercomplex import *", names)
+print(json.dumps({
+    "star": sorted(n for n in names if not n.startswith("__")),
+    "all": hypercomplex.__all__,
+    "dir": dir(hypercomplex),
+    "same": all(
+        getattr(hypercomplex, n) is getattr(importlib.import_module("hypercomplex." + m), n)
+        for n, m in hypercomplex._SOURCE.items()
+    ),
+    "submodules": [getattr(hypercomplex, m).__name__ for m in sys.argv[1:]],
+}))
+"""
+    result = python(code, *SUBMODULES)
+    assert result.returncode == 0, result.stderr
+    got = json.loads(result.stdout)
+    assert got["star"] == sorted(got["all"])
+    assert set(got["all"]) | set(SUBMODULES) <= set(got["dir"])
+    assert got["same"]
+    assert got["submodules"] == [f"hypercomplex.{m}" for m in SUBMODULES]
+
+
+def test_lazy_table_lists_exactly_the_public_names():
+    assert sorted(hypercomplex._SOURCE) == sorted(hypercomplex.__all__)
+    with pytest.raises(AttributeError):
+        getattr(hypercomplex, "no_such_name")
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (("bc", "mul", "1 - 1*k", "1/2 + 3*i"), {"bicomplex"}),
+        (("mc", "--order", "3", "split", "1,2,0,-1/2,0,0,3,1"), {"bicomplex", "multicomplex"}),
+        (("algebra", "table", "coquaternion"), {"quadruple"}),
+        (
+            ("poly", "solve", "--algebra", "bicomplex", "--coeffs", "{coeffs}"),
+            {"bicomplex", "multicomplex", "ratpoly", "polysolve"},
+        ),
+        (("biq", "mul", "(0,1) + (1,0)*k", "(0,-1) + (1,0)*k"), {"bicomplex", "biquaternion"}),
+        (("surd", "analyze", "2*x + sqrt(x^2 - 7) = 5"), {"ratpoly", "surd"}),
+        (("corpus",), {
+            "bicomplex", "biquaternion", "multicomplex", "polysolve", "quadruple", "ratpoly", "surd",
+        }),
+    ],
+    ids=["bc-mul", "mc-split", "algebra-table", "poly-solve", "biq-mul", "surd-analyze", "corpus"],
+)
+def test_each_subcommand_loads_only_its_own_modules(argv, modules, tmp_path):
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("-2\n1*k\n1\n", encoding="utf-8")
+    argv = [arg.format(coeffs=coeffs) for arg in argv]
+    code = (
+        "import contextlib, io, sys\n"
+        "from hypercomplex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    if main(sys.argv[1:]):\n"
+        "        sys.exit('nonzero exit code')\n"
+        + PRINT_LOADED
+    )
+    result = python(code, *argv)
+    assert result.returncode == 0, result.stderr
+    assert set(json.loads(result.stdout)) == {"cli", "scalars", *modules}
