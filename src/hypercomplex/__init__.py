@@ -15,44 +15,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bicomplex",
-    "BicomplexPoly",
-    "Biquaternion",
-    "CayleyTable",
-    "CongenerReport",
-    "DegenerateSpectrum",
-    "IdealTag",
-    "InvariantError",
-    "Multicomplex",
-    "NoConvergence",
-    "NotComplanar",
-    "NotInvertible",
-    "OrderMismatch",
-    "ParseError",
-    "QuadElement",
-    "QuadSignature",
-    "RationalComplex",
-    "RootSet",
-    "SplitPair",
-    "SurdEquation",
-    "UnsupportedNesting",
-    "VanishedStock",
-    "ZeroInput",
-    "ZeroPolynomial",
-    "classify_roots",
-    "complex_roots",
-    "congeners",
-    "derive_table",
-    "is_normal",
-    "mc_solve",
-    "named_table",
-    "parse_surd",
-    "solve",
-    "solve_quadratic",
-    "stock_equation",
-]
-
 # submodule -> the public names it defines
 _EXPORTS = {
     "bicomplex": ("Bicomplex", "IdealTag", "NotInvertible", "SplitPair"),
@@ -73,6 +35,7 @@ _EXPORTS = {
 }
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SOURCE)
 _SUBMODULES = (*_EXPORTS, "cli", "ratpoly")
 
 

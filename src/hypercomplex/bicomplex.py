@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 from .scalars import (
     HALF,
+    ComputationalError,
     Element,
     abs_sq,
     format_scalar,
@@ -45,7 +46,7 @@ from .scalars import (
 )
 
 
-class NotInvertible(ArithmeticError):
+class NotInvertible(ComputationalError, ArithmeticError):
     """Raised for zero or nullific (zero-divisor) elements."""
 
 
@@ -86,18 +87,8 @@ class Bicomplex(Element):
         scalar imaginaries."""
         return Bicomplex(value, 0, 0, 0) if is_real_scalar(value) else NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Bicomplex(
-            self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Bicomplex(-self.w, -self.x, -self.y, -self.z)
+    def _new(self, components):
+        return Bicomplex(*components)
 
     def __mul__(self, other):
         other = self._coerce(other)

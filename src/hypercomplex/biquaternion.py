@@ -44,6 +44,7 @@ from .scalars import (
     HALF,
     NULLIFIC_RTOL,
     SOLVE_RESIDUAL_RTOL,
+    ComputationalError,
     Element,
     RationalComplex,
     ZeroInput,
@@ -60,11 +61,11 @@ EIGEN_SEPARATION_RTOL = 1e-8
 REAL_PART_RTOL = 1e-9
 
 
-class NotComplanar(ValueError):
+class NotComplanar(ComputationalError, ValueError):
     """Element has j or k components, so it lies outside the i-plane."""
 
 
-class DegenerateSpectrum(RuntimeError):
+class DegenerateSpectrum(ComputationalError, RuntimeError):
     """Repeated companion eigenvalues: solutions are not isolated points."""
 
 
@@ -101,19 +102,8 @@ class Biquaternion(Element):
         except TypeError:
             return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Biquaternion(
-            self.c0 + other.c0, self.c1 + other.c1,
-            self.c2 + other.c2, self.c3 + other.c3,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Biquaternion(-self.c0, -self.c1, -self.c2, -self.c3)
+    def _new(self, components):
+        return Biquaternion(*components)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -138,8 +128,8 @@ class Biquaternion(Element):
         """q'' as component 4-tuple (w-parts)."""
         return tuple(c.imag for c in self.components())
 
-    def is_real_quaternion(self, rtol: float = REAL_PART_RTOL) -> bool:
-        """True iff every w-part is within ``rtol * (1 + norm)``.
+    def is_real_quaternion(self) -> bool:
+        """True iff every w-part is within ``REAL_PART_RTOL * (1 + norm)``.
 
         Where the norm leaves the float range on finite components, the test
         is made on the element scaled as in :meth:`is_nullifier`: both sides
@@ -149,8 +139,8 @@ class Biquaternion(Element):
         if scale == math.inf:
             scaled = self._scaled()
             if scaled is not None:
-                return scaled.is_real_quaternion(rtol)
-        return all(abs(float(v)) <= rtol * scale for v in self.imag_part())
+                return scaled.is_real_quaternion()
+        return all(abs(float(v)) <= REAL_PART_RTOL * scale for v in self.imag_part())
 
     def norm(self) -> float:
         """Euclidean size of the eight real coefficients.  A sum of squares

@@ -7,8 +7,9 @@ print at 17 significant digits, exact rationals print as p/q, roots are
 sorted lexicographically by their split components, and every JSON payload
 carries a top-level ``"schema": "1"``.
 
-Exit codes: 0 success, 1 computational error (not invertible, degenerate
-spectrum, no convergence, corpus mismatch, ...), 2 parse or usage error.
+Exit codes: 0 success, 1 computational error (a
+``scalars.ComputationalError`` such as not invertible, degenerate spectrum
+or no convergence, or a corpus mismatch), 2 parse or usage error.
 
 A call imports only the algebra modules its subcommand runs (``bc mul``
 loads ``scalars`` and ``bicomplex``; ``surd analyze`` loads ``scalars``,
@@ -27,20 +28,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-from .scalars import format_scalar
+from .scalars import ComputationalError, format_scalar
 
 SCHEMA = "1"
-
-# submodule -> its computational error classes, which exit 1
-COMPUTATIONAL_ERRORS = {
-    "bicomplex": ("NotInvertible",),
-    "biquaternion": ("NotComplanar", "DegenerateSpectrum"),
-    "multicomplex": ("OrderMismatch",),
-    "polysolve": ("ZeroPolynomial", "NoConvergence", "TooManyRoots"),
-    "quadruple": ("TableMismatch",),
-    "scalars": ("ZeroInput",),
-    "surd": ("VanishedStock",),
-}
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -148,7 +138,7 @@ def main(argv=None) -> int:
         print(_dispatch(args))
         return 0
     except Exception as exc:
-        if isinstance(exc, _computational_errors()):
+        if isinstance(exc, ComputationalError):
             code = 1
         elif isinstance(exc, (ValueError, OSError, ZeroDivisionError)):
             code = 2
@@ -156,17 +146,6 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return code
-
-
-def _computational_errors() -> tuple:
-    """The classes of COMPUTATIONAL_ERRORS whose modules are loaded: an
-    exception can only come from a module that is loaded."""
-    errors = []
-    for module, names in COMPUTATIONAL_ERRORS.items():
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.extend(getattr(loaded, name) for name in names)
-    return tuple(errors)
 
 
 def _dispatch(args) -> str:

@@ -55,6 +55,7 @@ from operator import add, itemgetter, mul, neg, or_
 from .bicomplex import Bicomplex
 from .scalars import (
     HALF,
+    ComputationalError,
     Element,
     RationalComplex,
     ZeroInput,  # re-exported
@@ -70,7 +71,7 @@ from .scalars import (
 MAX_ORDER = 16
 
 
-class OrderMismatch(ValueError):
+class OrderMismatch(ComputationalError, ValueError):
     """Operands live in towers of different order."""
 
 
@@ -108,23 +109,12 @@ class Multicomplex(Element):
     def components(self) -> tuple:
         return self.coeffs
 
-    def _check_order(self, other: "Multicomplex"):
+    def _new(self, components):
+        return Multicomplex(self.order, tuple(components))
+
+    def _check(self, other: "Multicomplex"):
         if self.order != other.order:
             raise OrderMismatch(f"orders differ: {self.order} vs {other.order}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_order(other)
-        return Multicomplex(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Multicomplex(self.order, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         n = self.order
@@ -136,7 +126,7 @@ class Multicomplex(Element):
             if not other:
                 return Multicomplex.scalar(n, 0)
             return _element(n, tuple([0 + a * other if a else 0 for a in self.coeffs]))
-        self._check_order(other)
+        self._check(other)
         return _element(n, product(self.coeffs, other.coeffs, n))
 
     __rmul__ = __mul__

@@ -76,23 +76,30 @@ from .multicomplex import (
     _unbutterfly,
 )
 from .multicomplex import product as multicomplex_product
-from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots, gaussian_integers
-from .scalars import SOLVE_RESIDUAL_RTOL, RationalComplex, common_denominator, scalar_norm
+from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots, gaussian_integers, normalize
+from .scalars import (
+    SOLVE_RESIDUAL_RTOL,
+    ComputationalError,
+    RationalComplex,
+    common_denominator,
+    scalar_norm,
+)
 
 ROOT_RESIDUAL_RTOL = 1e-10   # complex root finder acceptance
 CLUSTER_RTOL = 1e-7          # multiplicity merge radius
+ABERTH_MAX_SWEEPS = 200      # Aberth iterations before the finder gives up
 MAX_ROOTS = 2**16            # roots one solve returns at most
 
 
-class ZeroPolynomial(ValueError):
+class ZeroPolynomial(ComputationalError, ValueError):
     """All coefficients vanish."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(ComputationalError, RuntimeError):
     """Root finder failed; message carries iteration diagnostics."""
 
 
-class TooManyRoots(ValueError):
+class TooManyRoots(ComputationalError, ValueError):
     """The solution set has more than ``MAX_ROOTS`` roots."""
 
 
@@ -149,9 +156,9 @@ def _horner(coeffs, z):
     return acc
 
 
-def _aberth(coeffs, max_iter: int = 200) -> list[complex]:
+def _aberth(coeffs) -> list[complex]:
     """Aberth-Ehrlich simultaneous iteration: the iterates once they settle,
-    or after ``max_iter`` sweeps; :func:`complex_roots` checks them."""
+    or after ``ABERTH_MAX_SWEEPS`` sweeps; :func:`complex_roots` checks them."""
     deg = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
     deriv = [k * monic[k] for k in range(1, deg + 1)]
@@ -162,7 +169,7 @@ def _aberth(coeffs, max_iter: int = 200) -> list[complex]:
         radius * (0.75 + 0.5 * j / deg) * cmath.exp(1j * (2 * math.pi * j / deg + 0.43))
         for j in range(deg)
     ]
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_SWEEPS):
         settled = True
         for j in range(deg):
             pj = _horner(monic, zs[j])
@@ -249,16 +256,10 @@ def _extract(coeffs, D: Optional[int] = None) -> tuple[list, list]:
     return exact_roots(D, coeffs, complex_roots, _candidates)
 
 
-def _strip(coeffs: list) -> list:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
 def _trimmed(coeffs) -> list:
     """Degree-ascending algebra coefficients without vanishing leading ones;
     the polynomial must have degree 1 or more."""
-    cs = _strip(list(coeffs))
+    cs = list(normalize(coeffs))
     if not cs:
         raise ZeroPolynomial("all coefficients are zero")
     if len(cs) < 2:
@@ -385,7 +386,7 @@ def _split_components(coeffs, algebra: _Algebra) -> list:
     tuples ``coeffs``, by the algebra's own split of each coefficient, as it
     gives them, vanishing leading values dropped."""
     splits = [algebra.split(c) for c in coeffs]
-    return [_strip([s[i] for s in splits]) for i in range(len(splits[0]))]
+    return [list(normalize(s[i] for s in splits)) for i in range(len(splits[0]))]
 
 
 def _substitution(coeffs, product, spectra):

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .scalars import Element, InvariantError, format_scalar, is_real_scalar
+from .scalars import ComputationalError, Element, InvariantError, format_scalar, is_real_scalar
 
 BASIS_NAMES = ("1", "a", "b", "c")
 
@@ -44,7 +44,7 @@ _UNKNOWN_SLOTS = tuple(_SLOT_NAMES.values())
 _NONTRIVIAL_TRIPLES = tuple(itertools.product((1, 2, 3), repeat=3))
 
 
-class TableMismatch(ValueError):
+class TableMismatch(ComputationalError, ValueError):
     """Elements of different quadruple systems cannot be combined."""
 
 
@@ -243,26 +243,17 @@ class QuadElement(Element):
             return QuadElement(value, 0, 0, 0, table=self.table)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return QuadElement(
-            self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z,
-            table=self.table,
-        )
+    def _new(self, components):
+        return QuadElement(*components, table=self.table)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElement(-self.w, -self.x, -self.y, -self.z, table=self.table)
+    def _check(self, other):
+        if other.table.entries != self.table.entries:
+            raise TableMismatch("elements belong to different quadruple systems")
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
         out = [0, 0, 0, 0]
         mine = self.components()
         theirs = other.components()
@@ -275,10 +266,6 @@ class QuadElement(Element):
                 sign, k = self.table.entry(i, j)
                 out[k] = out[k] + sign * mine[i] * theirs[j]
         return QuadElement(*out, table=self.table)
-
-    def _check(self, other):
-        if other.table.entries != self.table.entries:
-            raise TableMismatch("elements belong to different quadruple systems")
 
     def left_mul_matrix(self):
         """4x4 matrix of left multiplication by self, columns = images of basis."""

@@ -22,6 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -30,7 +31,14 @@ NULLIFIC_RTOL = 1e-12        # float zero-divisor test, see :func:`vanishing`
 SOLVE_RESIDUAL_RTOL = 1e-9   # substitution check of a computed solution
 
 
-class ZeroInput(ValueError):
+class ComputationalError(Exception):
+    """Marker base of the errors that valid input can meet in a computation
+    (zero input, not invertible, no convergence, ...), on which the CLI
+    exits 1.  Each such class lists it first and keeps a builtin base, such
+    as ``ValueError``, for callers that catch that."""
+
+
+class ZeroInput(ComputationalError, ValueError):
     """The operation is undefined at zero."""
 
 
@@ -77,8 +85,10 @@ def binary_power(base, n: int, one):
 
 class Element:
     """Operators shared by the element classes.  A subclass supplies
-    ``components``, ``__add__``, ``__neg__``, ``__mul__`` and ``_from_scalar``,
-    a scalar as an element of self's algebra or NotImplemented."""
+    ``components``; ``_new``, an element of self's algebra from a sequence
+    of components; ``__mul__``; ``_from_scalar``, a scalar as an element of
+    self's algebra or NotImplemented; and ``_check`` where two elements of
+    the class can belong to different algebras."""
 
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.components())
@@ -89,11 +99,26 @@ class Element:
     def __bool__(self):
         return not self.is_zero()
 
+    def _check(self, other):
+        """Raise when ``other``, of self's class, is in another algebra."""
+
     def _coerce(self, value):
         """``value`` as an element of self's algebra, or NotImplemented."""
         if isinstance(value, self.__class__):
+            self._check(value)
             return value
         return self._from_scalar(value)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(map(add, self.components(), other.components()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(map(neg, self.components()))
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from . import ratpoly as rp
-from .scalars import InvariantError, common_denominator
+from .scalars import ComputationalError, InvariantError, common_denominator
 
 MAX_RADICALS = 4
 MAX_RADICAND_DEGREE = 8
@@ -62,7 +62,7 @@ class UnsupportedNesting(ParseError):
     """Radicals inside radicals are outside the grammar."""
 
 
-class VanishedStock(ValueError):
+class VanishedStock(ComputationalError, ValueError):
     """The congeners multiply to 0, so the stock equation says nothing."""
 
 

@@ -2,11 +2,13 @@ import argparse
 import importlib
 import io
 import json
+import pkgutil
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import hypercomplex
 from hypercomplex import cli, quadruple
 from hypercomplex.bicomplex import NotInvertible
 from hypercomplex.biquaternion import DegenerateSpectrum, NotComplanar
@@ -14,8 +16,8 @@ from hypercomplex.cli import main
 from hypercomplex.multicomplex import OrderMismatch
 from hypercomplex.polysolve import NoConvergence, TooManyRoots, ZeroPolynomial
 from hypercomplex.quadruple import TableMismatch
-from hypercomplex.scalars import InvariantError, ZeroInput
-from hypercomplex.surd import ParseError, VanishedStock
+from hypercomplex.scalars import ComputationalError, InvariantError, ZeroInput
+from hypercomplex.surd import ParseError, UnsupportedNesting, VanishedStock
 
 
 def run(*argv):
@@ -352,10 +354,19 @@ class TestCorpus:
         assert "invalid case file" in out
 
 
-COMPUTATIONAL = (
-    NotInvertible, ZeroPolynomial, NoConvergence, TooManyRoots, NotComplanar,
-    DegenerateSpectrum, ZeroInput, OrderMismatch, TableMismatch, VanishedStock,
-)
+# error class -> the builtin base that callers may still catch it by
+COMPUTATIONAL = {
+    NotInvertible: ArithmeticError,
+    ZeroPolynomial: ValueError,
+    NoConvergence: RuntimeError,
+    TooManyRoots: ValueError,
+    NotComplanar: ValueError,
+    DegenerateSpectrum: RuntimeError,
+    ZeroInput: ValueError,
+    OrderMismatch: ValueError,
+    TableMismatch: ValueError,
+    VanishedStock: ValueError,
+}
 
 
 class TestExitCodes:
@@ -369,13 +380,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_bc", handler)
         return run("bc", "norm", "1")
 
-    def test_table_lists_the_computational_errors_by_module(self):
-        listed = [
-            getattr(importlib.import_module(f"hypercomplex.{module}"), name)
-            for module, names in cli.COMPUTATIONAL_ERRORS.items()
-            for name in names
-        ]
-        assert sorted(listed, key=str) == sorted(COMPUTATIONAL, key=str)
+    def test_computational_errors_are_the_marker_subclasses(self):
+        for module in pkgutil.iter_modules(hypercomplex.__path__):
+            importlib.import_module(f"hypercomplex.{module.name}")
+        found, todo = set(), [ComputationalError]
+        while todo:
+            subclasses = todo.pop().__subclasses__()
+            found.update(subclasses)
+            todo.extend(subclasses)
+        assert found == set(COMPUTATIONAL)
+        for error, builtin in COMPUTATIONAL.items():
+            assert issubclass(error, builtin)
+        for error in (ParseError, UnsupportedNesting, InvariantError):
+            assert not issubclass(error, ComputationalError)
 
     @pytest.mark.parametrize("error", COMPUTATIONAL, ids=lambda e: e.__name__)
     def test_computational_errors_exit_one(self, monkeypatch, error):

@@ -6,7 +6,7 @@ import pytest
 
 from hypercomplex.bicomplex import Bicomplex, IdealTag
 from hypercomplex.biquaternion import Biquaternion
-from hypercomplex.multicomplex import Multicomplex
+from hypercomplex.multicomplex import Multicomplex, OrderMismatch
 from hypercomplex.quadruple import QuadElement, TableMismatch, named_table
 from hypercomplex.scalars import RationalComplex, ZeroInput
 
@@ -28,6 +28,7 @@ def make(request):
 
 
 X = (Fraction(1, 2), -3, 2, Fraction(5, 3))
+Y = (4, Fraction(-2, 7), 0, Fraction(1, 3))
 S = Fraction(7, 4)
 
 
@@ -48,6 +49,17 @@ def test_scalar_sum_and_product_match_the_explicit_element(make):
     assert x + S == x + s
     assert S * x == s * x
     assert x * S == x * s
+
+
+def test_sum_negation_and_difference_are_componentwise(make):
+    x, y = make(*X), make(*Y)
+    for got, expected in (
+        (x + y, [a + b for a, b in zip(X, Y)]),
+        (-x, [-a for a in X]),
+        (x - y, [a - b for a, b in zip(X, Y)]),
+    ):
+        assert got == make(*expected)
+        assert got.is_exact()
 
 
 def test_subtracting_from_a_string_names_the_minus(make):
@@ -76,6 +88,14 @@ def test_quad_elements_of_different_tables_do_not_mix():
     v = QuadElement(1, 2, 3, 4, table=COQUAT)
     for op in (lambda: u + v, lambda: u - v, lambda: u * v, lambda: u ** 2 * v):
         with pytest.raises(TableMismatch):
+            op()
+
+
+def test_multicomplex_elements_of_different_orders_do_not_mix():
+    u = Multicomplex(2, (1, 2, 3, 4))
+    v = Multicomplex(3, (1, 2, 3, 4, 5, 6, 7, 8))
+    for op in (lambda: u + v, lambda: u - v, lambda: u * v, lambda: v + u, lambda: v * u):
+        with pytest.raises(OrderMismatch):
             op()
 
 
