@@ -287,14 +287,10 @@ def _cmd_poly(args) -> str:
     if args.algebra == "bicomplex":
         poly = polysolve.BicomplexPoly(tuple(Bicomplex.parse(l) for l in lines))
         roots = polysolve.solve(poly)
-        root_json = [r.to_json() for r in roots.roots]
-        root_text = [str(r) for r in roots.roots]
     elif args.algebra.startswith("mc:"):
         order = int(args.algebra.split(":", 1)[1])
         coeffs = [Multicomplex.parse(l, order) for l in lines]
         roots = polysolve.mc_solve(coeffs, order)
-        root_json = [r.to_json() for r in roots.roots]
-        root_text = [str(r) for r in roots.roots]
     else:
         raise ValueError(f"unknown algebra {args.algebra!r}; use 'bicomplex' or 'mc:N'")
 
@@ -321,12 +317,12 @@ def _cmd_poly(args) -> str:
     payload = {
         "kind": roots.kind,
         "counts": list(roots.counts),
-        "roots": root_json,
+        "roots": [r.to_json() for r in roots.roots],
         "residuals": [format_scalar(r) for r in roots.residuals],
     }
     text_lines = [f"{roots.kind}: {len(roots.roots)} roots, counts {list(roots.counts)}"]
-    for t, res in zip(root_text, roots.residuals):
-        text_lines.append(f"  {t}   (residual {format_scalar(res)})")
+    for r, res in zip(roots.roots, roots.residuals):
+        text_lines.append(f"  {r}   (residual {format_scalar(res)})")
     return _emit(payload, "\n".join(text_lines), args.format)
 
 

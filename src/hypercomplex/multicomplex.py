@@ -32,8 +32,9 @@ A product of two elements takes one of three routes (see :func:`_route`):
   the product costs O(n * 2**n) instead of O(4**n);
 * the gather tables, for operands of real scalars with no zero
   coefficient at orders 4 to 8, floats among them: the additions of the
-  direct sum, in its order, run by ``map`` and ``reduce`` in C over cached
-  signed-index gathers (0.75 MB for orders 1 to 8), still O(4**n) but 1.4
+  direct sum, in its order, run by ``map`` and ``reduce`` in C over
+  signed-index gathers, one table per order built from the subset rule on
+  first use and cached (0.75 MB for orders 4 to 8), still O(4**n) but 1.4
   to 1.8 times as fast, and its floats bit for bit;
 * the direct sum over the subset rule, for the rest (order <= 3, order >=
   9, and sparse operands such as a scalar or a unit times an element),
@@ -314,43 +315,25 @@ def _gathered_product(a: tuple, b: tuple, order: int) -> tuple:
 
 # -- the gather tables -------------------------------------------------------
 #
-# The gather of output k at order n picks, for s = 0 .. 2**n - 1, the entry
-# (s ^ k) + 2**n * parity(s & (s ^ k)) of b + (-b).  The table at order n
-# comes from the one at n - 1 by doubling: write s = s' + sigma * N and
-# k = k' + kappa * N, N = 2**(n-1).  Then s ^ k = (s' ^ k') + (sigma ^
-# kappa) * N, and the parity gains sigma & ~kappa, so the order-n entry is
-# the order-(n-1) entry t' + N * p' relabelled to t' + (sigma ^ kappa) * N +
-# 2N * (p' ^ (sigma & ~kappa)).  Applying the order-(n-1) gather of k' to
-# the relabelling tuple does that in C, one half of the order-n gather of k
-# per sigma.  The relabelling tuples take their ints from one pool, so the
-# tables share them.  Orders 1..8 hold 0.75 MB, 0.55 MB of it at order 8,
-# and build in about 4 ms on the first product that needs them.
+# By the subset rule, the term of output k for s is sign * a[s] * b[s ^ k]
+# with sign (-1)**parity(s & (s ^ k)), so the gather of output k at order n
+# picks entry (s ^ k) + 2**n * parity(s & (s ^ k)) of b + (-b) for s = 0 ..
+# 2**n - 1.  The entries are taken from one pool of ints, so the tables
+# share them.  Orders 4..8 hold 0.75 MB, most of it at order 8, and an
+# order's table is built on the first product that needs it.
 
 GATHER_ORDERS = range(4, 9)  # order 3 breaks even; order 9 would hold 4**9 entries
 _INDEX_POOL = tuple(range(2 << GATHER_ORDERS[-1]))
 
 
-@lru_cache(maxsize=None)  # one entry per order up to the last of GATHER_ORDERS
+@lru_cache(maxsize=None)  # one entry per order of GATHER_ORDERS
 def _gathers(order: int) -> tuple:
     """The itemgetter of each output index's signed factors (see above)."""
-    if order == 1:
-        return (itemgetter(0, 3), itemgetter(1, 0))
-    half = 1 << (order - 1)
-
-    def relabel(sigma: int, kappa: int) -> tuple:
-        """The order-n entry of each order-(n-1) entry t' + N * p', by t' + N * p'."""
-        shift, flip = (sigma ^ kappa) * half, sigma & (kappa ^ 1)
-        return tuple(
-            _INDEX_POOL[(i & (half - 1)) + shift + ((i >> (order - 1)) ^ flip) * 2 * half]
-            for i in range(2 * half)
-        )
-
-    lower = _gathers(order - 1)
-    out = []
-    for kappa in (0, 1):
-        low, high = relabel(0, kappa), relabel(1, kappa)
-        out.extend(itemgetter(*gather(low), *gather(high)) for gather in lower)
-    return tuple(out)
+    size = 1 << order
+    return tuple(
+        itemgetter(*[_INDEX_POOL[(s ^ k) + size * ((s & (s ^ k)).bit_count() & 1)] for s in range(size)])
+        for k in range(size)
+    )
 
 
 # -- the butterfly ----------------------------------------------------------

@@ -20,24 +20,25 @@ exact-coefficient components are extracted as Gaussian rationals by
 (and their residuals) come out exactly zero.  Each float root proposes the
 candidates of :func:`_candidates`: a ladder of denominator bounds per
 coordinate, small ones first, all from one continued-fraction pass over
-the float (:func:`ratpoly.best_rationals`), as (numerator, denominator)
-ints.  The extractor alone checks them, and divides out a confirmed root;
-it runs the finder once on a component polynomial that one run splits
-completely into simple exact roots, and once on each quotient otherwise.
+the float (:func:`ratpoly.best_rationals`), as ``(a, b, d)`` ints, the
+Gaussian integer a + b*i over d.  The extractor alone checks them, and
+divides out a confirmed root; it runs the finder once on a component
+polynomial that one run splits completely into simple exact roots, and
+once on each quotient otherwise.
 
 Everything exact runs on one fixed spectrum.  When every coefficient is
 exact, one common denominator D over all of them and one butterfly per
 coefficient give every split component polynomial as Gaussian integers
 over D, which the extractor takes as they are; its exact roots come back
-as (numerator, denominator) ints.  Float and mixed coefficients take the
+as the same ``(a, b, d)`` points.  Float and mixed coefficients take the
 algebra's own split instead.  The extractor checks a candidate y/d on a
 component scaled by its denominator D: D * d**n * p(y/d) = sum (D*c_k) y**k
 d**(n-k), by Horner on Python ints, O(n) products with no gcd
 normalisation.
 
 The per-root stage runs on coefficient tuples, with no element objects.
-Each component root is converted once, to its float pair and, when exact,
-to ints over a denominator.  A combination of exact roots is recombined on
+Each component root is recorded once, as its float pair and, when exact,
+its ``(a, b, d)`` point.  A combination of exact roots is recombined on
 those ints by the inverse butterfly (the bicomplex recombination is its
 order-2 case) and substituted on the same ints: one forward butterfly takes
 the recombined root back to its components, Horner runs per component on
@@ -76,7 +77,7 @@ from .multicomplex import (
     _unbutterfly,
 )
 from .multicomplex import product as multicomplex_product
-from .ratpoly import SNAP_DENOMINATOR, best_rationals, exact_roots, gaussian_integers, normalize
+from .ratpoly import SNAP_DENOMINATOR, best_rationals, evaluate, exact_roots, gaussian_integers, normalize
 from .scalars import (
     SOLVE_RESIDUAL_RTOL,
     ComputationalError,
@@ -134,7 +135,7 @@ def complex_roots(coeffs: Sequence) -> list[complex]:
     elif len(cs) > 2:
         for finder in (_aberth, _companion_roots):
             found = finder(cs)
-            bad = [res for res in (abs(_horner(cs, r)) for r in found) if not res <= tol]
+            bad = [res for res in (abs(evaluate(cs, r)) for r in found) if not res <= tol]
             if not bad:
                 break
         else:
@@ -147,13 +148,6 @@ def complex_roots(coeffs: Sequence) -> list[complex]:
     roots = _merge_clusters(roots)
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots
-
-
-def _horner(coeffs, z):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
 
 
 def _aberth(coeffs) -> list[complex]:
@@ -172,8 +166,8 @@ def _aberth(coeffs) -> list[complex]:
     for _ in range(ABERTH_MAX_SWEEPS):
         settled = True
         for j in range(deg):
-            pj = _horner(monic, zs[j])
-            dj = _horner(deriv, zs[j])
+            pj = evaluate(monic, zs[j])
+            dj = evaluate(deriv, zs[j])
             if dj == 0:
                 zs[j] += (1e-6 + 1e-6j) * (1 + abs(zs[j]))
                 settled = False
@@ -198,8 +192,6 @@ def _companion_roots(coeffs) -> list[complex]:
 
 def _merge_clusters(roots: list[complex]) -> list[complex]:
     """Merge roots within 1e-7*scale into centroid copies (multiplicity kept)."""
-    if not roots:
-        return []
     radius = CLUSTER_RTOL * max(1.0, max(abs(r) for r in roots))
     remaining = sorted(roots, key=lambda r: (r.real, r.imag))
     merged: list[complex] = []
@@ -226,10 +218,14 @@ def _candidates(root: complex) -> list:
     tries, in order, each once: the best rationals of both coordinates
     under each bound of the ladder, small denominators first, so float
     noise around a multiple rational root still lands on it."""
-    return list(dict.fromkeys(zip(
+    points = []
+    for (p, q), (r, s) in dict.fromkeys(zip(
         best_rationals(root.real, _SNAP_DENOMINATORS),
         best_rationals(root.imag, _SNAP_DENOMINATORS),
-    )))
+    )):
+        d = math.lcm(q, s)
+        points.append((p * (d // q), r * (d // s), d))
+    return points
 
 
 def _component_roots(coeffs, D: Optional[int] = None) -> list:
@@ -238,15 +234,14 @@ def _component_roots(coeffs, D: Optional[int] = None) -> list:
     values, then the numeric roots of the rest.  ``coeffs`` are the
     component's values, or with D the (re, im) ints of D times them."""
     exact, numeric = _extract(coeffs, D)
-    return [RationalComplex(Fraction(*re), Fraction(*im)) for re, im in exact] + numeric
+    return [RationalComplex(Fraction(a, d), Fraction(b, d)) for a, b, d in exact] + numeric
 
 
 def _extract(coeffs, D: Optional[int] = None) -> tuple[list, list]:
     """(exact points, numeric roots) of one split-component polynomial given
     as for :func:`_component_roots`: exact coefficients go to
     :func:`ratpoly.exact_roots`, which pulls out the Gaussian-rational roots
-    as (numerator, denominator) points; any other goes to the numeric
-    finder whole."""
+    as ``(a, b, d)`` points; any other goes to the numeric finder whole."""
     if len(coeffs) <= 1:
         return [], []
     if D is None:
@@ -285,7 +280,7 @@ class BicomplexPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, value: Bicomplex) -> Bicomplex:
-        return _horner(self.coeffs, value)
+        return evaluate(self.coeffs, value)
 
 
 @dataclass(frozen=True)
@@ -397,9 +392,9 @@ def _substitution(coeffs, product, spectra):
     coefficients of p(r) in the basis.  The root is its coefficient tuple,
     or, with an int d, the ints of d times an exact root.
 
-    When every coefficient and r are exact (ints and Fractions) the check
-    runs on the integer spectra: with D the common denominator of the
-    coefficients and d one of r, one forward butterfly takes d*r to its
+    An exact root of a polynomial whose coefficients are all exact (ints
+    and Fractions) is checked on the integer spectra: with D the common
+    denominator of the coefficients, one forward butterfly takes d*r to its
     components y, Horner runs on each component on Gaussian integers,
     D * d**n * p(y/d) = sum (D*c_k) y**k d**(n-k), and one inverse butterfly
     gives 2**(order-1) * D * d**n * p(r) in the basis: O(order * 2**order +
@@ -408,9 +403,10 @@ def _substitution(coeffs, product, spectra):
     the recombination.  Only a nonzero value is divided back, by int true
     division, which rounds as ``float(Fraction)`` does, so the residual is
     the one the element Horner gives, bit for bit, whichever d is used.
-    Other inputs take the element Horner's operations in its order, ``acc *
-    r`` by the kernel, then ``+ c`` coefficient by coefficient, so their
-    residuals keep its bits too.
+    A float root, and an exact one (as Fractions) of a polynomial with
+    inexact coefficients, take the element Horner's operations in its
+    order, ``acc * r`` by the kernel, then ``+ c`` coefficient by
+    coefficient, so their residuals keep its bits too.
     """
     if spectra is not None:
         D, vectors = spectra
@@ -423,12 +419,10 @@ def _substitution(coeffs, product, spectra):
         if d is not None and spectra is None:
             root, d = [Fraction(v, d) for v in root], None
         if d is None:
-            if not (spectra is not None and _rational(root)):
-                acc = coeffs[-1]
-                for c in reversed(coeffs[:-1]):
-                    acc = tuple(map(add, product(acc, root), c))
-                return scalar_norm(acc)
-            d, root = common_denominator(root)
+            acc = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                acc = tuple(map(add, product(acc, root), c))
+            return scalar_norm(acc)
         powers = [d]
         for _ in range(len(coeffs) - 2):
             powers.append(powers[-1] * d)
@@ -449,24 +443,14 @@ def _substitution(coeffs, product, spectra):
     return residual
 
 
-def _point_record(point) -> tuple:
-    """An exact component root as the stage uses it, from its (re, im) point
-    of (numerator, denominator) ints in lowest terms: its float (real,
-    imaginary) pair, rounded as ``float(Fraction)``, the sort key part and
-    the value a float recombination takes, and (real, imaginary, d), the
-    ints of d times it.  A float root's record is its pair and None."""
-    (p, q), (r, s) = point
-    d = math.lcm(q, s)
-    return (p / q, r / s), (p * (d // q), r * (d // s), d)
-
-
 def _recombine(combo, order: int, half) -> tuple:
     """The coefficients of the element whose split components are the roots
-    of ``combo`` (records of :func:`_point_record`), by the inverse butterfly,
-    as (coefficients, d).  When every root is exact they are the ints of d
-    times the element, d being 2**(order-1) times the roots' common
-    denominator; otherwise they are the recombination of the roots' floats,
-    halved by ``half``, and d is None."""
+    of ``combo``, by the inverse butterfly, as (coefficients, d).  A root's
+    record is its float (real, imaginary) pair and its exact ``(a, b, d)``
+    point, None for a float root.  When every root is exact the
+    coefficients are the ints of d times the element, d being 2**(order-1)
+    times the roots' common denominator; otherwise they are the
+    recombination of the roots' floats, halved by ``half``, and d is None."""
     exact = [r[1] for r in combo]
     if None in exact:
         return tuple(_unbutterfly(_spectrum_list([r[0] for r in combo], order), order, half)), None
@@ -515,7 +499,11 @@ def _solve_components(coeffs, algebra: _Algebra) -> RootSet:
     records = []
     for c in comps:
         exact, numeric = _extract(c, D)
-        records.append([_point_record(p) for p in exact] + [((z.real, z.imag), None) for z in numeric])
+        # int true division rounds a / d as float(Fraction(a, d)) does
+        records.append(
+            [((a / d, b / d), (a, b, d)) for a, b, d in exact]
+            + [((z.real, z.imag), None) for z in numeric]
+        )
     residual_of = _substitution(coeffs, algebra.product, spectra)
     tol = SOLVE_RESIDUAL_RTOL * (1.0 + max(scalar_norm(c) for c in coeffs))
     roots, residuals, keys = [], [], []

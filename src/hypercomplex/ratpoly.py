@@ -10,12 +10,14 @@ exact except the numeric root bridge at the bottom.
 one denominator: each numeric root proposes exact candidates, and the one
 Horner loop that confirms a candidate also gives its quotient, so every
 root is checked once, where it is divided out, to its full multiplicity.
-The numeric finder runs once on each quotient, or once in all on a
-polynomial that one run splits completely into simple exact roots.
-:func:`best_rationals` is the package's one best-rational-approximation
-routine: the nearest fraction to a float under each of a ladder of
-denominator bounds, from one continued-fraction pass, as (numerator,
-denominator) ints.
+An exact point, candidate or root, is the Gaussian integer a + b*i over a
+denominator d > 0, the ints ``(a, b, d)``.  The numeric finder runs once on
+each quotient, or once in all on a polynomial that one run splits
+completely into simple exact roots.  :func:`best_rationals` is the
+package's one best-rational-approximation routine: the nearest fraction to
+a float under each of a ladder of denominator bounds, from one
+continued-fraction pass, as (numerator, denominator) ints.
+:func:`evaluate` is its one value Horner.
 """
 
 from __future__ import annotations
@@ -77,9 +79,13 @@ def scale(p: Poly, factor) -> Poly:
 
 
 def evaluate(p: Poly, x):
-    """Horner evaluation; exact for Fraction x, float/complex otherwise."""
-    acc = 0
-    for c in reversed(p):
+    """p(x) by Horner from the leading coefficient, 0 for the zero
+    polynomial; exact for exact p and x, in x's arithmetic otherwise
+    (complex, or the elements of an algebra)."""
+    if not p:
+        return 0
+    acc = p[-1]
+    for c in reversed(p[:-1]):
         acc = acc * x + c
     return acc
 
@@ -137,20 +143,14 @@ def best_rationals(x: float, bounds) -> list[tuple[int, int]]:
     return out
 
 
-def _horner(scaled, re: tuple[int, int], im: tuple[int, int]):
-    """(d, accs) when p(re + im*i) = 0 exactly, else None: re and im are
-    (numerator, denominator) ints, d their common denominator, accs the
-    Horner accumulators but the last.
+def _horner(scaled, a: int, b: int, d: int):
+    """The Horner accumulators but the last when p(x) = 0 exactly at the
+    point x = (a + b*i)/d, else None.
 
-    With x = (a + b*i)/d, Horner on Python ints gives accumulator j =
-    D * d**j * q_(n-1-j), q the quotient of p by (x - re - im*i), and
-    finally D * d**n * p(x): O(n) Gaussian-integer multiply-adds and no
-    gcd normalisation.
+    Horner on Python ints gives accumulator j = D * d**j * q_(n-1-j), q
+    the quotient of p by (z - x), and finally D * d**n * p(x): O(n)
+    Gaussian-integer multiply-adds and no gcd normalisation.
     """
-    (re_num, re_den), (im_num, im_den) = re, im
-    d = math.lcm(re_den, im_den)
-    a = re_num * (d // re_den)
-    b = im_num * (d // im_den)
     acc_re, acc_im = scaled[-1]
     accs = []
     scale = 1
@@ -161,7 +161,7 @@ def _horner(scaled, re: tuple[int, int], im: tuple[int, int]):
             acc_re * a - acc_im * b + c_re * scale,
             acc_re * b + acc_im * a + c_im * scale,
         )
-    return None if acc_re or acc_im else (d, accs)
+    return None if acc_re or acc_im else accs
 
 
 def _quotient(D: int, d: int, accs) -> tuple[int, list]:
@@ -180,9 +180,9 @@ def _quotient(D: int, d: int, accs) -> tuple[int, list]:
 def exact_roots(D: int, scaled, numeric_roots, candidates) -> tuple[list, list]:
     """The exact roots, with multiplicity, of the polynomial whose ascending
     coefficients times D have the (re, im) int pairs ``scaled``, leading pair
-    nonzero, as (re, im) points of (numerator, denominator) ints sorted by
-    exact value; and the numeric roots of the quotient where nothing is
-    exact.
+    nonzero, as ``(a, b, d)`` points, the Gaussian integer a + b*i over d,
+    sorted by exact value; and the numeric roots of the quotient where
+    nothing is exact.
 
     ``numeric_roots`` takes the coefficients as complex numbers rounded as
     ``float(Fraction)``.  ``candidates(r)`` yields the exact points near its
@@ -213,7 +213,7 @@ def exact_roots(D: int, scaled, numeric_roots, candidates) -> tuple[list, list]:
             return _by_value(found), numeric
         while horner:
             found.append(point)
-            D, scaled = _quotient(D, *horner)
+            D, scaled = _quotient(D, point[2], horner)
             horner = _horner(scaled, *point)
         # one root found so far: the first run's first, and simple
         if len(found) == 1 and len(scaled) >= 2:
@@ -233,7 +233,7 @@ def _complete_split(D: int, scaled, points):
         if not horner:
             continue
         roots.append(point)
-        D, scaled = _quotient(D, *horner)
+        D, scaled = _quotient(D, point[2], horner)
         if len(scaled) < 2:
             return roots
         if _horner(scaled, *point):
@@ -246,22 +246,23 @@ def _by_value(points: list) -> list:
     common denominator."""
     if len(points) < 2:
         return points
-    den = math.lcm(*[q for point in points for _, q in point])
-    return sorted(points, key=lambda point: tuple(p * (den // q) for p, q in point))
+    den = math.lcm(*[d for _, _, d in points])
+    return sorted(points, key=lambda x: (x[0] * (den // x[2]), x[1] * (den // x[2])))
 
 
 def _rational_candidates(root: complex):
     """The point of the fraction with denominator at most SNAP_DENOMINATOR
     nearest a near-real root; nothing for any other root."""
     if abs(root.imag) <= NEAR_REAL_RTOL * (1 + abs(root.real)):
-        yield best_rationals(root.real, (SNAP_DENOMINATOR,))[0], (0, 1)
+        (p, q), = best_rationals(root.real, (SNAP_DENOMINATOR,))
+        yield p, 0, q
 
 
 def rational_roots(p: Poly) -> tuple[list[Fraction], list[complex]]:
     """All rational roots of p, with multiplicity, and the numeric roots of
     the rest: every rational root the numeric stage resolves is found."""
     exact, numeric = exact_roots(*gaussian_integers(normalize(p)), numpy_roots, _rational_candidates)
-    return [Fraction(*re) for re, _ in exact], numeric
+    return [Fraction(a, d) for a, _, d in exact], numeric
 
 
 def numpy_roots(p: Poly) -> list[complex]:

@@ -22,7 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg
+from operator import add, neg, sub
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -124,13 +124,13 @@ class Element:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._new(map(sub, self.components(), other.components()))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (-self) + other
+        return self._new(map(sub, other.components(), self.components()))
 
     def __rmul__(self, other):
         """The scalar stays on the left, as noncommutative algebras need."""

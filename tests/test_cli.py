@@ -63,6 +63,32 @@ class TestBc:
         assert (code, err) == (0, "")
         assert float(out) == 1e-200
 
+    @pytest.mark.parametrize(
+        "element, norm, norm_sq", [("1 + 1*i", "2", "4"), ("1.5 + 2*h", "6.25", "39.0625")]
+    )
+    def test_norm(self, element, norm, norm_sq):
+        assert run("bc", "norm", element) == (0, f"{norm}\n", "")
+        assert run("bc", "norm", element, "--format", "json") == (
+            0, f'{{"norm": "{norm}", "norm_sq": "{norm_sq}", "schema": "1"}}\n', ""
+        )
+
+    def test_conjugates(self):
+        element = "1/2 + 3*i - h + 2*k"
+        assert run("bc", "conjugates", element) == (
+            0,
+            "conj_i  1/2 - 3*i - 1*h - 2*k\n"
+            "conj_h  1/2 + 3*i + 1*h - 2*k\n"
+            "conj_ih 1/2 - 3*i + 1*h + 2*k\n",
+            "",
+        )
+        code, out, _ = run("bc", "conjugates", element, "--format", "json")
+        assert (code, json.loads(out)) == (0, {
+            "schema": "1",
+            "conj_i": {"w": "1/2", "x": "-3", "y": "-1", "z": "-2"},
+            "conj_h": {"w": "1/2", "x": "3", "y": "1", "z": "-2"},
+            "conj_ih": {"w": "1/2", "x": "-3", "y": "1", "z": "2"},
+        })
+
     def test_bad_element_exits_two(self):
         code, _, err = run("bc", "mul", "1 + foo", "1")
         assert code == 2

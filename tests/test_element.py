@@ -60,6 +60,12 @@ def test_sum_negation_and_difference_are_componentwise(make):
     ):
         assert got == make(*expected)
         assert got.is_exact()
+    # floats keep the bits of the componentwise difference, signed zeros
+    # too: -0.0 - 0 is -0.0, where -0.0 + (-0) would be 0.0
+    x, y = make(-0.0, 1.5, 0, 2.25), make(0, 0.5, -0.0, -1.0)
+    for a, b in ((x, y), (y, x)):
+        expected = [u - v for u, v in zip(a.components(), b.components())]
+        assert repr(a - b) == repr(make(*expected))
 
 
 def test_subtracting_from_a_string_names_the_minus(make):

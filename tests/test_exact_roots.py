@@ -87,9 +87,9 @@ class TestSameAsTheLoopsItReplaced:
 
 def gaussian_roots(coeffs):
     """``exact_roots`` with the ladder candidates of ``polysolve``, its
-    exact points as ``RationalComplex`` values."""
+    exact ``(a, b, d)`` points as ``RationalComplex`` values."""
     exact, numeric = rp.exact_roots(*rp.gaussian_integers(coeffs), polysolve.complex_roots, polysolve._candidates)
-    return [RationalComplex(Fraction(*re), Fraction(*im)) for re, im in exact], numeric
+    return [RationalComplex(Fraction(a, d), Fraction(b, d)) for a, b, d in exact], numeric
 
 
 def test_classify_roots_runs_numpy_once_per_remainder(monkeypatch):

@@ -309,7 +309,7 @@ class TestExactDeflation:
         # 1 is no root of z**2 + 1; a candidate function that proposes it
         # anyway gets no exact root, and the numeric roots come back whole
         coeffs = [RationalComplex(Fraction(c)) for c in (1, 0, 1)]
-        exact, numeric = exact_roots(*rp.gaussian_integers(coeffs), complex_roots, lambda r: [((1, 1), (0, 1))])
+        exact, numeric = exact_roots(*rp.gaussian_integers(coeffs), complex_roots, lambda r: [(1, 0, 1)])
         assert exact == []
         assert numeric == complex_roots([1, 0, 1])
 
@@ -352,9 +352,11 @@ def times_roots(cofactor, roots):
 
 
 def integer_pairs(x):
-    """The (numerator, denominator) ints of both parts, as the integer
-    check takes them."""
-    return x.re.as_integer_ratio(), x.im.as_integer_ratio()
+    """The ``(a, b, d)`` point of x, the Gaussian integer a + b*i over the
+    least common denominator d of both parts, as the integer check takes
+    it."""
+    d = math.lcm(x.re.denominator, x.im.denominator)
+    return x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator), d
 
 
 class TestGaussianIntegerVanishing:
@@ -432,10 +434,8 @@ class TestSnapLadder:
         # the surd snap: (x - 1/3)(x**2 - 2)
         assert rational_roots((Fraction(2, 3), -2, Fraction(-1, 3), 1))[0] == [Fraction(1, 3)]
         # and the candidate functions themselves
-        assert _candidates(complex(1 / 3, 0.5)) == [
-            ((0, 1), (0, 1)), ((1, 2), (1, 2)), ((1, 3), (1, 2))
-        ]
-        assert list(rp._rational_candidates(complex(1 / 3, 1e-9))) == [((1, 3), (0, 1))]
+        assert _candidates(complex(1 / 3, 0.5)) == [(0, 0, 1), (1, 1, 2), (2, 3, 6)]
+        assert list(rp._rational_candidates(complex(1 / 3, 1e-9))) == [(1, 0, 3)]
         assert list(rp._rational_candidates(complex(1 / 3, 1e-3))) == []
 
 
@@ -498,7 +498,7 @@ class TestOneFinderRun:
 
         two = times_roots([rc(1)], [rc(0), rc(0, Fraction(1, 2))])
         exact, numeric = exact_roots(*rp.gaussian_integers(two), finder, _candidates)
-        assert exact == [((0, 1), (0, 1)), ((0, 1), (1, 2))]
+        assert exact == [(0, 0, 1), (0, 1, 2)]
         assert (numeric, runs) == ([], [3])
 
     def test_constrained_exact_roots_come_out_sorted(self):

@@ -203,7 +203,7 @@ class TestStockEquation:
         # Candidates that are no roots of x**2 - 2, proposed for every
         # numeric root, are never returned as exact roots, and the numeric
         # roots come back whole.
-        monkeypatch.setattr(rp, "_rational_candidates", lambda r: [((1, 1), (0, 1)), ((-7, 5), (0, 1))])
+        monkeypatch.setattr(rp, "_rational_candidates", lambda r: [(1, 0, 1), (-7, 0, 5)])
         assert rp.rational_roots(poly(-2, 0, 1)) == ([], rp.numpy_roots(poly(-2, 0, 1)))
 
     def test_vanished_stock_raises(self):
@@ -318,6 +318,16 @@ class TestClassification:
         assert report.congeners[1].signs == (-1, -1)
         assert report.congeners[1].possible
         assert not report.congeners[0].possible
+
+    def test_a_root_with_one_negative_radicand_is_assigned_on_every_branch(self):
+        # at x = 0 the radicand x - 1 is -1 and x + 4 is 4: the imaginary
+        # radical's coefficient x vanishes, so both branches of sqrt(-1)
+        # satisfy the congeners where +sqrt(4) meets the 2, and no others
+        report = classify_roots(parse_surd("x*sqrt(x - 1) + sqrt(x + 4) = 2"))
+        assert report.stock == poly(0, 0, 17, -14, -1, -2, 1)
+        zero = next(r for r in report.roots if r.value == 0)
+        assert zero.exact and zero.assigned == (0, 1) and not zero.ambiguous
+        assert [c.signs for c in report.congeners[:2]] == [(1, 1), (-1, 1)]
 
     def test_exact_zero_evaluation_for_perfect_square_radicands(self):
         report = classify_roots(parse_surd("2*x + sqrt(x^2 - 7) = 5"))
