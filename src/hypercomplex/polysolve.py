@@ -17,14 +17,11 @@ when its iterates miss the residual bound; :func:`complex_roots` applies
 that one test to both, and a NaN residual fails it.  Roots of
 exact-coefficient components are extracted as Gaussian rationals by
 :func:`ratpoly.exact_roots`, shared with ``surd``, so rational root sets
-(and their residuals) come out exactly zero.  Each float root proposes the
-candidates of :func:`_candidates`: a ladder of denominator bounds per
-coordinate, small ones first, all from one continued-fraction pass over
-the float (:func:`ratpoly.best_rationals`), as ``(a, b, d)`` ints, the
-Gaussian integer a + b*i over d.  The extractor alone checks them, and
-divides out a confirmed root; it runs the finder once on a component
-polynomial that one run splits completely into simple exact roots, and
-once on each quotient otherwise.
+(and their residuals) come out exactly zero.  A component polynomial goes
+to :func:`ratpoly.squarefree_roots`, which splits it into squarefree
+factors unless one gcd modulo a prime proves it squarefree; on each, every
+float root proposes one candidate, rounded by the rational root theorem, as
+``(a, b, d)`` ints, the Gaussian integer a + b*i over d.
 
 Everything exact runs on one fixed spectrum.  When every coefficient is
 exact, one common denominator D over all of them and one butterfly per
@@ -77,7 +74,7 @@ from .multicomplex import (
     _unbutterfly,
 )
 from .multicomplex import product as multicomplex_product
-from .ratpoly import SNAP_DENOMINATOR, best_rationals, evaluate, exact_roots, gaussian_integers, normalize
+from .ratpoly import evaluate, gaussian_integers, normalize, squarefree_roots
 from .scalars import (
     SOLVE_RESIDUAL_RTOL,
     ComputationalError,
@@ -210,24 +207,6 @@ def _merge_clusters(roots: list[complex]) -> list[complex]:
     return merged
 
 
-_SNAP_DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 100, 1000, SNAP_DENOMINATOR)
-
-
-def _candidates(root: complex) -> list:
-    """The exact points near a float root that :func:`ratpoly.exact_roots`
-    tries, in order, each once: the best rationals of both coordinates
-    under each bound of the ladder, small denominators first, so float
-    noise around a multiple rational root still lands on it."""
-    points = []
-    for (p, q), (r, s) in dict.fromkeys(zip(
-        best_rationals(root.real, _SNAP_DENOMINATORS),
-        best_rationals(root.imag, _SNAP_DENOMINATORS),
-    )):
-        d = math.lcm(q, s)
-        points.append((p * (d // q), r * (d // s), d))
-    return points
-
-
 def _component_roots(coeffs, D: Optional[int] = None) -> list:
     """Roots of one split-component polynomial, exact where provable: its
     Gaussian-rational roots (with true multiplicity) as ``RationalComplex``
@@ -240,15 +219,15 @@ def _component_roots(coeffs, D: Optional[int] = None) -> list:
 def _extract(coeffs, D: Optional[int] = None) -> tuple[list, list]:
     """(exact points, numeric roots) of one split-component polynomial given
     as for :func:`_component_roots`: exact coefficients go to
-    :func:`ratpoly.exact_roots`, which pulls out the Gaussian-rational roots
-    as ``(a, b, d)`` points; any other goes to the numeric finder whole."""
+    :func:`ratpoly.squarefree_roots`, which pulls out the Gaussian-rational
+    roots as ``(a, b, d)`` points; others go to the numeric finder whole."""
     if len(coeffs) <= 1:
         return [], []
     if D is None:
         if not all(isinstance(c, RationalComplex) for c in coeffs):
             return [], complex_roots(coeffs)
         D, coeffs = gaussian_integers(coeffs)
-    return exact_roots(D, coeffs, complex_roots, _candidates)
+    return squarefree_roots(D, coeffs, complex_roots)
 
 
 def _trimmed(coeffs) -> list:

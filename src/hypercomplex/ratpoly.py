@@ -7,30 +7,26 @@ exact except the numeric root bridge at the bottom.
 
 :func:`exact_roots` is the package's one exact-root extractor, for
 :func:`rational_roots` here and for ``polysolve``, on Gaussian integers over
-one denominator: each numeric root proposes exact candidates, and the one
-Horner loop that confirms a candidate also gives its quotient, so every
-root is checked once, where it is divided out, to its full multiplicity.
-An exact point, candidate or root, is the Gaussian integer a + b*i over a
-denominator d > 0, the ints ``(a, b, d)``.  The numeric finder runs once on
-each quotient, or once in all on a polynomial that one run splits
-completely into simple exact roots.  :func:`best_rationals` is the
-package's one best-rational-approximation routine: the nearest fraction to
-a float under each of a ladder of denominator bounds, from one
-continued-fraction pass, as (numerator, denominator) ints.
-:func:`evaluate` is its one value Horner.
+one denominator.  An exact point is the Gaussian integer a + b*i over a
+denominator d > 0, the ints ``(a, b, d)``.  Each numeric root r proposes
+one, round(L*r)/L for L the leading coefficient (the rational root
+theorem), and the Horner loop that confirms it also gives its quotient, so
+every root is checked once, where it is divided out, to its full
+multiplicity.  :func:`squarefree_roots` splits off multiple roots first,
+which spread the numeric roots beyond one rounding.  :func:`evaluate` is
+its one value Horner.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
-from .scalars import common_denominator
+from .scalars import RationalComplex, common_denominator
 
 Poly = tuple
 
-SNAP_DENOMINATOR = 10**6   # largest denominator of a snapped root
-NEAR_REAL_RTOL = 1e-6      # a numeric root this near the real axis may snap to a rational
 REAL_ROOT_RTOL = 1e-9      # a numeric root this near the real axis is reported real
 
 
@@ -109,40 +105,6 @@ def gaussian_integers(coeffs) -> tuple[int, list]:
     return D, list(zip(ints[::2], ints[1::2]))
 
 
-def best_rationals(x: float, bounds) -> list[tuple[int, int]]:
-    """(p, q) of the fraction nearest x with denominator at most b, for each
-    of the ascending bounds b, all from one continued-fraction pass; the
-    same fractions, tie rule included, as ``Fraction``'s bounded-denominator
-    approximation gives.
-
-    The convergents p1/q1 of x are walked once; a bound b stops the walk at
-    the first convergent with q > b, and its answer is the last convergent
-    or the semiconvergent with k = (b - q0) // q1, whichever is nearer x,
-    the last convergent on a tie.  Each pair is in lowest terms with q > 0.
-    """
-    N, D = x.as_integer_ratio()
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = N, D
-    out = []
-    for bound in bounds:
-        if D <= bound:
-            out.append((N, D))
-            continue
-        while True:
-            a = n // d
-            q2 = q0 + a * q1
-            if q2 > bound:
-                break
-            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-            n, d = d, n - a * d
-        k = (bound - q0) // q1
-        if 2 * d * (q0 + k * q1) <= D:
-            out.append((p1, q1))
-        else:
-            out.append((p0 + k * p1, q0 + k * q1))
-    return out
-
-
 def _horner(scaled, a: int, b: int, d: int):
     """The Horner accumulators but the last when p(x) = 0 exactly at the
     point x = (a + b*i)/d, else None.
@@ -177,91 +139,139 @@ def _quotient(D: int, d: int, accs) -> tuple[int, list]:
     return D // g, [(u // g, v // g) for u, v in quotient]
 
 
-def exact_roots(D: int, scaled, numeric_roots, candidates) -> tuple[list, list]:
+def exact_roots(D: int, scaled, numeric_roots, real: bool = False) -> tuple[list, list]:
     """The exact roots, with multiplicity, of the polynomial whose ascending
     coefficients times D have the (re, im) int pairs ``scaled``, leading pair
-    nonzero, as ``(a, b, d)`` points, the Gaussian integer a + b*i over d,
-    sorted by exact value; and the numeric roots of the quotient where
-    nothing is exact.
+    nonzero, as ``(a, b, d)`` points sorted by exact value; and the numeric
+    roots of the quotient where nothing is exact.
 
     ``numeric_roots`` takes the coefficients as complex numbers rounded as
-    ``float(Fraction)``.  ``candidates(r)`` yields the exact points near its
-    float root r to try, in order, and is called when r's turn comes.  The
-    first point on which the Horner loop of :func:`_horner` vanishes is a
-    root, the accumulators of that run give its quotient, and it is divided
-    out to its full multiplicity; nothing else is divided out.  Then
-    ``numeric_roots`` runs on the quotient, and so on until a run gives no
-    root.
-
-    One run may split the polynomial: when the first root of the first run
-    is simple, the rest of that run's candidates, those of the root that
-    proposed it included, are tried on the quotient, and if they divide it
-    out completely, each once, they are all the exact roots and no other
-    run is made.  Only a complete split is kept, so no exact root is lost
-    to it; otherwise the runs go on from the first quotient.
+    ``float(Fraction)``.  Each of its roots proposes the one point of
+    :func:`_rounded`, and a point on which :func:`_horner` vanishes is
+    divided out to its full multiplicity.  Then ``numeric_roots`` runs on
+    the quotient, until a run gives no root.  With ``real`` the polynomial
+    is real, and a root and its conjugate propose one real point, from the
+    real part: a multiple real root comes back as a pair whose imaginary
+    parts carry most of the error.
     """
     found: list = []
     while len(scaled) >= 2:
         numeric = numeric_roots([complex(re / D, im / D) for re, im in scaled])
-        points = (point for r in numeric for point in candidates(r))
-        horner = None
-        for point in points:
+        content = math.gcd(*(part for pair in scaled for part in pair))
+        lead = (scaled[-1][0] // content, scaled[-1][1] // content)
+        hits = len(found)
+        for r in numeric:
+            if real:
+                if r.imag < 0:   # its conjugate proposes the same point
+                    continue
+                r = complex(r.real)
+            point = _rounded(lead, r)
+            # a rational root a/d of an integer polynomial has a | p(0)
+            if point is None or (real and math.gcd(point[0], scaled[0][0]) != abs(point[0])):
+                continue
             horner = _horner(scaled, *point)
-            if horner:
-                break
-        if not horner:
+            while horner:
+                found.append(point)
+                D, scaled = _quotient(D, point[2], horner)
+                horner = _horner(scaled, *point)
+        if len(found) == hits:
             return _by_value(found), numeric
-        while horner:
-            found.append(point)
-            D, scaled = _quotient(D, point[2], horner)
-            horner = _horner(scaled, *point)
-        # one root found so far: the first run's first, and simple
-        if len(found) == 1 and len(scaled) >= 2:
-            rest = _complete_split(D, scaled, points)
-            if rest is not None:
-                return _by_value(found + rest), []
     return _by_value(found), []
 
 
-def _complete_split(D: int, scaled, points):
-    """The points among ``points`` that divide the polynomial of
-    :func:`exact_roots` out completely, each a simple root, in the order
-    they are found; None if they do not."""
-    roots = []
-    for point in points:
-        horner = _horner(scaled, *point)
-        if not horner:
-            continue
-        roots.append(point)
-        D, scaled = _quotient(D, point[2], horner)
-        if len(scaled) < 2:
-            return roots
-        if _horner(scaled, *point):
-            return None
-    return None
+def _rounded(lead, r: complex):
+    """round(L*r)/L in lowest terms, for L = ``lead`` the leading Gaussian
+    integer of a polynomial and r one of its numeric roots, L*r rounded half
+    up exactly; None for an r that is not finite.  A root x in Q(i) has L*x
+    in Z[i] (the rational root theorem, by Gauss's lemma), so this is x
+    whenever L*(r - x) is below 1/2 in each coordinate."""
+    if not cmath.isfinite(r):
+        return None
+    l_re, l_im = lead
+    (x, dx), (y, dy) = r.real.as_integer_ratio(), r.imag.as_integer_ratio()
+    # L*r = (t_re + t_im*i) / (dx*dy); u + v*i rounds it half up
+    u, v = (
+        (2 * t + dx * dy) // (2 * dx * dy)
+        for t in (l_re * x * dy - l_im * y * dx, l_re * y * dx + l_im * x * dy)
+    )
+    # (u + v*i)/L is (u + v*i) * conj(L) over |L|**2
+    a, b, d = u * l_re + v * l_im, v * l_re - u * l_im, l_re * l_re + l_im * l_im
+    g = math.gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+# A prime P = 1 (mod 4) and a square root of -1 modulo P: sending i to _I
+# maps Z[i] onto the field Z/P, which is Z[i] modulo a Gaussian prime over P.
+_P = 2**61 - 31
+_I = 583529827753931384
+
+
+def squarefree_roots(D: int, scaled, numeric_roots) -> tuple[list, list]:
+    """:func:`exact_roots` after a squarefree split p = c * prod f_k**k, by
+    Yun's algorithm (Yun 1976) over Q(i) unless :func:`_squarefree_mod_p`
+    proves p squarefree: each f_k is extracted once and its roots counted k
+    times, the numeric ones sorted by value."""
+    if len(scaled) < 2 or _squarefree_mod_p(scaled):
+        return exact_roots(D, scaled, numeric_roots)
+    p = tuple(RationalComplex(Fraction(re), Fraction(im)) for re, im in scaled)
+    a = _gcd(p, _derivative(p))
+    b, c = _divmod(p, a)[0], _divmod(_derivative(p), a)[0]
+    exact, numeric, k = [], [], 0
+    while len(b) >= 2:
+        d = sub(c, _derivative(b))
+        a, k = _gcd(b, d), k + 1   # f_k
+        if len(a) >= 2:   # made monic, which keeps its leading Gaussian integer small
+            e, n = exact_roots(*gaussian_integers([x / a[-1] for x in a]), numeric_roots)
+            exact += e * k
+            numeric += n * k
+        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+    return _by_value(exact), sorted(numeric, key=lambda r: (r.real, r.imag))
+
+
+def _squarefree_mod_p(scaled) -> bool:
+    """True when the image of the polynomial with Gaussian-integer
+    coefficients ``scaled`` in (Z/P)[z] keeps its degree and is coprime to
+    its derivative.  That proves p squarefree: a square factor g**2 of p
+    would leave g's image, of g's degree, in both.  False proves nothing."""
+    f = [(re + _I * im) % _P for re, im in scaled]
+    return bool(f[-1]) and len(_gcd(f, [c % _P for c in _derivative(f)], _P)) == 1
+
+
+def _derivative(p: Poly) -> Poly:
+    return tuple(k * p[k] for k in range(1, len(p)))
+
+
+def _divmod(p: Poly, q: Poly, modulus=None) -> tuple[Poly, Poly]:
+    """Quotient and remainder of p by q != 0, over Q(i), or over Z/modulus
+    for a prime modulus and coefficients reduced by it."""
+    inverse = pow(q[-1], -1, modulus) if modulus else 1 / q[-1]
+    rem, n, quotient = list(p), len(q) - 1, []
+    for i in range(len(p) - 1, n - 1, -1):
+        c = rem[i] * inverse % modulus if modulus else rem[i] * inverse
+        quotient.append(c)
+        for j in range(n):
+            rem[i - n + j] -= c * q[j]
+    return tuple(reversed(quotient)), normalize([x % modulus for x in rem[:n]] if modulus else rem[:n])
+
+
+def _gcd(p: Poly, q: Poly, modulus=None) -> Poly:
+    """A gcd of p != 0 and q, as for :func:`_divmod`."""
+    while q:
+        p, q = q, _divmod(p, q, modulus)[1]
+    return p
 
 
 def _by_value(points: list) -> list:
     """Exact points sorted by value, real part first, on the ints of their
     common denominator."""
-    if len(points) < 2:
-        return points
     den = math.lcm(*[d for _, _, d in points])
     return sorted(points, key=lambda x: (x[0] * (den // x[2]), x[1] * (den // x[2])))
-
-
-def _rational_candidates(root: complex):
-    """The point of the fraction with denominator at most SNAP_DENOMINATOR
-    nearest a near-real root; nothing for any other root."""
-    if abs(root.imag) <= NEAR_REAL_RTOL * (1 + abs(root.real)):
-        (p, q), = best_rationals(root.real, (SNAP_DENOMINATOR,))
-        yield p, 0, q
 
 
 def rational_roots(p: Poly) -> tuple[list[Fraction], list[complex]]:
     """All rational roots of p, with multiplicity, and the numeric roots of
     the rest: every rational root the numeric stage resolves is found."""
-    exact, numeric = exact_roots(*gaussian_integers(normalize(p)), numpy_roots, _rational_candidates)
+    exact, numeric = exact_roots(*gaussian_integers(normalize(p)), numpy_roots, real=True)
     return [Fraction(a, d) for a, _, d in exact], numeric
 
 

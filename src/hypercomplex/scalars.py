@@ -185,10 +185,20 @@ class RationalComplex:
         return RationalComplex(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, (complex, float)):
+            return complex(self) - other
+        other = _exact(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalComplex(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (complex, float)):
+            return other - complex(self)
+        other = _exact(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalComplex(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         if isinstance(other, (complex, float)):

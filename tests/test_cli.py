@@ -5,6 +5,7 @@ import json
 import pkgutil
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,8 @@ from hypercomplex.polysolve import NoConvergence, TooManyRoots, ZeroPolynomial
 from hypercomplex.quadruple import TableMismatch
 from hypercomplex.scalars import ComputationalError, InvariantError, ZeroInput
 from hypercomplex.surd import ParseError, UnsupportedNesting, VanishedStock
+
+from test_imports import REPEATED_ROOTS
 
 
 def run(*argv):
@@ -172,6 +175,26 @@ class TestPoly:
         assert payload["counts"] == [2, 2]
         assert len(payload["roots"]) == 4
         assert payload["residuals"] == ["0", "0", "0", "0"]
+
+    def test_repeated_exact_roots_come_back_exact(self, tmp_path):
+        # 4096 (z - 9 + 10*i)**2 (z + (4 - i)/8)**4 (z - 1) in both split
+        # components: 7 * 7 roots, each exact, with multiplicity
+        coeffs = tmp_path / "coeffs.txt"
+        coeffs.write_text(REPEATED_ROOTS, encoding="utf-8")
+        code, out, err = run(
+            "poly", "solve", "--algebra", "bicomplex",
+            "--coeffs", str(coeffs), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["counts"] == [7, 7]
+        assert payload["residuals"] == ["0"] * 49
+        assert not any("." in v or "e" in v for r in payload["roots"] for v in r.values())
+        roots = [tuple(Fraction(r[c]) for c in "wxyz") for r in payload["roots"]]
+        # a root whose two components agree is that complex root
+        assert roots.count((Fraction(-1, 2), Fraction(1, 8), 0, 0)) == 16
+        assert roots.count((9, -10, 0, 0)) == 4
+        assert roots.count((1, 0, 0, 0)) == 1
 
     def test_mc_algebra_selector(self, tmp_path):
         coeffs = tmp_path / "coeffs.txt"

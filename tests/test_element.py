@@ -68,6 +68,17 @@ def test_sum_negation_and_difference_are_componentwise(make):
         assert repr(a - b) == repr(make(*expected))
 
 
+def test_a_float_minus_an_exact_zero_keeps_its_signed_zero():
+    # a Biquaternion's components are complex or RationalComplex;
+    # complex(-0.0, 0.0) - RationalComplex(0) is (-0+0j), as -0.0 - 0 is
+    first = (Biquaternion(-0.0, 1, 2, 3) - Biquaternion(0, 1, 2, 3)).c0
+    assert repr(first) == "(-0+0j)"
+    assert repr(complex(-0.0, 0.0) - RationalComplex(0)) == "(-0+0j)"
+    assert repr(RationalComplex(0) - complex(0.0, -0.0)) == "0j"
+    assert RationalComplex(1, 2) - RationalComplex(Fraction(1, 2)) == RationalComplex(Fraction(1, 2), 2)
+    assert 3 - RationalComplex(1, 2) == RationalComplex(2, -2)
+
+
 def test_subtracting_from_a_string_names_the_minus(make):
     with pytest.raises(TypeError, match="for -:"):
         "s" - make(*X)

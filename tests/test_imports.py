@@ -38,6 +38,19 @@ def test_package_and_cli_import_without_numpy():
     assert result.stdout == b"False\n"
 
 
+# 4096 (z - 9 + 10*i)**2 (z + (4 - i)/8)**4 (z - 1), both bicomplex
+# components alike: the squarefree split leaves the finder only simple roots
+REPEATED_ROOTS = """46259 + 24420*i
+254175 + 238984*i
+361677 + 654916*i
+-97247 + 348336*i
+-386304 - 727008*i
+-113024 - 619520*i
+-69632 + 79872*i
+4096
+"""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -46,15 +59,18 @@ def test_package_and_cli_import_without_numpy():
         ("mc", "--order", "3", "split", "1,2,0,-1/2,0,0,3,1"),
         ("algebra", "table", "coquaternion"),
         ("poly", "solve", "--algebra", "bicomplex", "--coeffs", "{coeffs}"),
+        ("poly", "solve", "--algebra", "bicomplex", "--coeffs", "{repeated}"),
     ],
-    ids=["bc-mul", "biq-mul", "mc-split", "algebra-table", "poly-solve"],
+    ids=["bc-mul", "biq-mul", "mc-split", "algebra-table", "poly-solve", "poly-solve-repeated-roots"],
 )
 def test_exact_subcommands_run_without_numpy(argv, tmp_path):
     # z**2 + k*z - 2: the complex finder settles on every component, so
     # the companion fallback, the one user of numpy, never runs
     coeffs = tmp_path / "coeffs.txt"
     coeffs.write_text("-2\n1*k\n1\n", encoding="utf-8")
-    argv = [arg.format(coeffs=coeffs) for arg in argv]
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text(REPEATED_ROOTS, encoding="utf-8")
+    argv = [arg.format(coeffs=coeffs, repeated=repeated) for arg in argv]
     normal = python(RUN_CLI, *argv)
     blocked = python(BLOCK_NUMPY + RUN_CLI, *argv)
     assert normal.returncode == 0, normal.stderr

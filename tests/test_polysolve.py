@@ -34,15 +34,13 @@ from hypercomplex.polysolve import (
 )
 from hypercomplex.polysolve import (
     _BICOMPLEX,
-    _SNAP_DENOMINATORS,
-    _candidates,
     _component_roots,
     _integer_spectra,
     _split_components,
     _substitution,
 )
 from hypercomplex import ratpoly as rp
-from hypercomplex.ratpoly import best_rationals, exact_roots, rational_roots
+from hypercomplex.ratpoly import exact_roots, rational_roots
 from hypercomplex.scalars import RationalComplex, common_denominator, scalar_norm
 
 from oracles import element_path_root_set
@@ -306,12 +304,16 @@ class TestMcSolve:
 
 class TestExactDeflation:
     def test_a_non_root_candidate_stays_numeric(self):
-        # 1 is no root of z**2 + 1; a candidate function that proposes it
-        # anyway gets no exact root, and the numeric roots come back whole
+        # a finder whose roots round to 1 and -1, no roots of z**2 + 1: no
+        # exact root, and the finder's roots come back whole
         coeffs = [RationalComplex(Fraction(c)) for c in (1, 0, 1)]
-        exact, numeric = exact_roots(*rp.gaussian_integers(coeffs), complex_roots, lambda r: [(1, 0, 1)])
+
+        def finder(cs):
+            return [complex(1.1, 0.2), complex(-0.9, -0.3)]
+
+        exact, numeric = exact_roots(*rp.gaussian_integers(coeffs), finder)
         assert exact == []
-        assert numeric == complex_roots([1, 0, 1])
+        assert numeric == finder(coeffs)
 
 
 # -- exact checks on scaled Gaussian integers ---------------------------------
@@ -359,6 +361,13 @@ def integer_pairs(x):
     return x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator), d
 
 
+def primitive_lead(scaled) -> tuple:
+    """The leading Gaussian integer of ``scaled`` over the content of all
+    its parts, as the extractor rounds with it."""
+    content = math.gcd(*(part for pair in scaled for part in pair))
+    return scaled[-1][0] // content, scaled[-1][1] // content
+
+
 class TestGaussianIntegerVanishing:
     @settings(deadline=None)
     @given(
@@ -369,6 +378,8 @@ class TestGaussianIntegerVanishing:
     def test_agrees_with_rational_horner(self, roots, cofactor, noise):
         coeffs = times_roots(cofactor, roots)
         _, scaled = rp.gaussian_integers(coeffs)
+        lead = primitive_lead(scaled)
+        L = RationalComplex(Fraction(lead[0]), Fraction(lead[1]))
 
         def vanishes(x):
             return rp._horner(scaled, *integer_pairs(x)) is not None
@@ -376,47 +387,25 @@ class TestGaussianIntegerVanishing:
         assert all(vanishes(r) for r in roots)
         points = [RationalComplex(Fraction(0))]
         for r in roots:
+            # the rational root theorem: L*r is a Gaussian integer
+            assert (L * r).re.denominator == (L * r).im.denominator == 1
             z = complex(r) + complex(noise, -noise)
-            # the near misses the ladder proposes, in its order
-            candidates = [
-                RationalComplex(
-                    Fraction(z.real).limit_denominator(d),
-                    Fraction(z.imag).limit_denominator(d),
-                )
-                for d in _SNAP_DENOMINATORS
-            ]
-            points += [r] + candidates
-            hits = [x for x in candidates if not rational_horner(coeffs, x)]
-            first = next((p for p in _candidates(z) if rp._horner(scaled, *p) is not None), None)
-            assert first == (integer_pairs(hits[0]) if hits else None)
+            a, b, d = rp._rounded(lead, z)
+            x = RationalComplex(Fraction(a, d), Fraction(b, d))
+            assert d > 0 and math.gcd(a, b, d) == 1
+            # the one candidate is the Gaussian integer nearest L*z over L,
+            # so it is r when L*(z - r) is within 1/2 in each coordinate
+            assert (L * x).re.denominator == (L * x).im.denominator == 1
+            error = L * (RationalComplex(Fraction(z.real), Fraction(z.imag)) - r)
+            if max(abs(error.re), abs(error.im)) < Fraction(1, 2):
+                assert x == r
+            points += [r, x]
         for x in points:
             assert vanishes(x) == (not rational_horner(coeffs, x))
 
 
-# floats at the ends of the range, and floats near the rungs' own fractions,
-# where the ladder's semiconvergents and its tie rule decide
-ladder_floats = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]),
-    st.builds(
-        lambda p, q, noise: p / q + noise,
-        st.integers(-10**6, 10**6),
-        st.sampled_from(_SNAP_DENOMINATORS),
-        st.sampled_from([0.0, 1e-15, -1e-12, 3e-9, -2e-7, 1e-4]),
-    ),
-)
-
-
-class TestSnapLadder:
-    @settings(deadline=None)
-    @given(ladder_floats)
-    def test_matches_limit_denominator(self, x):
-        expected = [Fraction(x).limit_denominator(d) for d in _SNAP_DENOMINATORS]
-        assert best_rationals(x, _SNAP_DENOMINATORS) == [
-            (f.numerator, f.denominator) for f in expected
-        ]
-
-    def test_snaps_call_no_limit_denominator(self, monkeypatch):
+class TestRounding:
+    def test_calls_no_limit_denominator(self, monkeypatch):
         def refuse(self, max_denominator=10**6):
             raise AssertionError("limit_denominator called")
 
@@ -431,12 +420,17 @@ class TestSnapLadder:
         hits = [RationalComplex(Fraction(0), Fraction(2, 3)), RationalComplex(Fraction(1, 2))]
         assert roots[:2] == hits
         assert not any(isinstance(r, RationalComplex) for r in roots[2:])
-        # the surd snap: (x - 1/3)(x**2 - 2)
+        # the surd stock roots: (x - 1/3)(x**2 - 2)
         assert rational_roots((Fraction(2, 3), -2, Fraction(-1, 3), 1))[0] == [Fraction(1, 3)]
-        # and the candidate functions themselves
-        assert _candidates(complex(1 / 3, 0.5)) == [(0, 0, 1), (1, 1, 2), (2, 3, 6)]
-        assert list(rp._rational_candidates(complex(1 / 3, 1e-9))) == [(1, 0, 3)]
-        assert list(rp._rational_candidates(complex(1 / 3, 1e-3))) == []
+
+    def test_one_point_per_root(self):
+        assert rp._rounded((1, 0), complex(1 / 3, 0.5)) == (0, 1, 1)   # 0.5 rounds up
+        assert rp._rounded((-3, 0), complex(1 / 3, 1e-9)) == (1, 0, 3)
+        # L = 2 + i: L*(0.8 + 0.6i) is 1 + 2i, and (1 + 2i)/(2 + i) = (4 + 3i)/5
+        assert rp._rounded((2, 1), complex(0.8, 0.6)) == (4, 3, 5)
+        assert rp._rounded((3**40, 0), complex(2.0, 0.0)) == (2, 0, 1)   # exact past 2**53
+        assert rp._rounded((1, 0), complex(math.nan, 0.0)) is None
+        assert rp._rounded((1, 0), complex(1.0, math.inf)) is None
 
 
 def test_complex_roots_runs_once_per_deflated_polynomial(monkeypatch):
@@ -471,25 +465,25 @@ class TestOneFinderRun:
         assert _component_roots(coeffs) == sorted(planted, key=lambda z: (z.re, z.im))
         assert calls == [5]
 
-    def test_a_multiple_root_takes_a_run_per_root(self, monkeypatch):
-        # a double root: the first run's split is dropped at it, and the
-        # finder runs on each quotient from the first hit, -i/2, on, as it
-        # does when a component does not split completely
+    def test_a_multiple_root_takes_a_run_per_squarefree_factor(self, monkeypatch):
+        # (z - 2/3 + i)**2 (z - 1)(z + i/2): the squarefree split gives
+        # (z - 1)(z + i/2), all of whose roots one run finds, and the double
+        # root's factor, of degree 1
         calls = counting_complex_roots(monkeypatch)
         planted = [rc(Fraction(2, 3), -1), rc(Fraction(2, 3), -1), rc(1), rc(0, Fraction(-1, 2))]
         coeffs = times_roots([rc(Fraction(5, 2), 1)], planted)
         assert _component_roots(coeffs) == sorted(planted, key=lambda z: (z.re, z.im))
-        assert calls == [5, 4, 2]
+        assert calls == [3, 2]
 
     def test_the_root_that_proposed_a_hit_keeps_proposing(self, monkeypatch):
-        # (z)(z - i/2)(z - 1): the root near i/2 may propose 0 first and
-        # must still give i/2 from the same run
+        # (z)(z - i/2)(z - 1): one run finds all three
         calls = counting_complex_roots(monkeypatch)
         coeffs = times_roots([rc(1)], [rc(0), rc(0, Fraction(1, 2)), rc(1)])
         assert _component_roots(coeffs) == [rc(0), rc(0, Fraction(1, 2)), rc(1)]
         assert calls == [4]
-        # a finder that sees only the root near i/2, whose ladder proposes
-        # 0 first: both roots come from it, in one run
+        # a finder that sees only the root near i/2: on 2z**2 - i*z, L = 2
+        # rounds it to i/2; on the quotient z the same root proposes again,
+        # and L = 1 rounds it to 0
         runs = []
 
         def finder(cs):
@@ -497,13 +491,13 @@ class TestOneFinderRun:
             return [complex(1e-9, 0.4999)]
 
         two = times_roots([rc(1)], [rc(0), rc(0, Fraction(1, 2))])
-        exact, numeric = exact_roots(*rp.gaussian_integers(two), finder, _candidates)
+        exact, numeric = exact_roots(*rp.gaussian_integers(two), finder)
         assert exact == [(0, 0, 1), (0, 1, 2)]
-        assert (numeric, runs) == ([], [3])
+        assert (numeric, runs) == ([], [3, 2])
 
     def test_constrained_exact_roots_come_out_sorted(self):
-        # one run finds 1 first, proposed by the rung-1 fraction of the
-        # root near 7/10, and 7/10 after it
+        # one run finds 7/10 and 1, in the finder's order; they come out
+        # sorted by value
         zero = rc(0)
         component = times_roots([rc(1)], [rc(Fraction(7, 10)), rc(1)])
         p = BicomplexPoly(tuple(Bicomplex.recompose(SplitPair(c, zero)) for c in component))

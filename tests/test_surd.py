@@ -200,11 +200,12 @@ class TestStockEquation:
         assert all(type(c) is int for c in product)
 
     def test_a_non_root_candidate_stays_numeric(self, monkeypatch):
-        # Candidates that are no roots of x**2 - 2, proposed for every
-        # numeric root, are never returned as exact roots, and the numeric
-        # roots come back whole.
-        monkeypatch.setattr(rp, "_rational_candidates", lambda r: [(1, 0, 1), (-7, 0, 5)])
-        assert rp.rational_roots(poly(-2, 0, 1)) == ([], rp.numpy_roots(poly(-2, 0, 1)))
+        # A finder whose roots round to 1 and -1, no roots of x**2 - 2:
+        # neither is returned as an exact root, and the finder's roots
+        # come back whole.
+        fake = [complex(1.2, 0.1), complex(-1.4, 0.0)]
+        monkeypatch.setattr(rp, "numpy_roots", lambda p: fake)
+        assert rp.rational_roots(poly(-2, 0, 1)) == ([], fake)
 
     def test_vanished_stock_raises(self):
         # The parser rejects equations without a radical; built directly,
