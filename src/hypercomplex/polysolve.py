@@ -14,7 +14,8 @@ list of their component polynomial.
 The complex root finder is Aberth-Ehrlich simultaneous iteration with a
 Cauchy-bound initial circle, falling back to companion-matrix eigenvalues
 when its iterates miss the residual bound; :func:`complex_roots` applies
-that one test to both, and a NaN residual fails it.  Roots of
+that one test to both, and a NaN residual fails it.  It refuses a
+non-finite coefficient with ``ValueError`` before either runs.  Roots of
 exact-coefficient components are extracted as Gaussian rationals by
 :func:`ratpoly.exact_roots`, shared with ``surd``, so rational root sets
 (and their residuals) come out exactly zero.  A component polynomial goes
@@ -34,19 +35,27 @@ d**(n-k), by Horner on Python ints, O(n) products with no gcd
 normalisation.
 
 The per-root stage runs on coefficient tuples, with no element objects.
-Each component root is recorded once, as its float pair and, when exact,
-its ``(a, b, d)`` point.  A combination of exact roots is recombined on
-those ints by the inverse butterfly (the bicomplex recombination is its
-order-2 case) and substituted on the same ints: one forward butterfly takes
-the recombined root back to its components, Horner runs per component on
-Gaussian integers against the coefficient spectra, and one inverse
-butterfly gives the value in the basis, O(n*2**n + deg*2**n) per root for
-order n.  It becomes an element only after it passes.  Other combinations
-are recombined and substituted on floats, with the algebra's own product
-kernel, :func:`bicomplex.product` or :func:`multicomplex.product`, which
-``*`` wraps, so every residual has the bits the element Horner gives.  A
-solve returns at most ``MAX_ROOTS`` roots; above that it raises
-:class:`TooManyRoots` before any root is computed.
+The roots are the Cartesian product of the component root lists, so the
+stage does once per component root what it can.  Each component root is
+recorded once, as its float pair and, when exact, its Gaussian integer
+over one denominator shared by every exact root of the solve; each
+component's records are sorted once by float pair, and the product of the
+sorted lists gives the roots in order, with no sort of the roots.  A
+combination of exact roots is recombined on those ints by the inverse
+butterfly (the bicomplex recombination is its order-2 case) and
+substituted on the same ints: one forward butterfly takes the recombined
+root back to its components, and Horner runs on Gaussian integers against
+the coefficient spectra once per distinct component value, which every
+later root with that component takes as kept; an inverse butterfly gives a
+nonzero value in the basis.  At order n, with K = 2**(n-1) components of
+degree m and R = m**K roots, Horner costs O(K*m**2) per solve and a root
+O(n*2**n) plus K lookups.  It becomes an element only after it passes.
+Other combinations are recombined and substituted on floats, with the
+algebra's own product kernel, :func:`bicomplex.product` or
+:func:`multicomplex.product`, which ``*`` wraps, so every residual has the
+bits the element Horner gives.  A solve returns at most ``MAX_ROOTS``
+roots; above that it raises :class:`TooManyRoots` before any root is
+computed.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bicomplex import Bicomplex
@@ -108,11 +117,13 @@ class TooManyRoots(ComputationalError, ValueError):
 def complex_roots(coeffs: Sequence) -> list[complex]:
     """All roots (with multiplicity) of a complex polynomial.
 
-    ``coeffs`` is degree-ascending with nonzero leading coefficient and
-    degree >= 1.  Each returned root r satisfies
+    ``coeffs`` is degree-ascending and finite, with nonzero leading
+    coefficient and degree >= 1.  Each returned root r satisfies
     |p(r)| <= 1e-10 * max(1, max|coeff|).
     """
     cs = [complex(c) for c in coeffs]
+    if not all(map(cmath.isfinite, cs)):
+        raise ValueError("coefficients must be finite")
     if len(cs) < 2:
         raise ValueError("degree must be at least 1")
     if cs[-1] == 0:
@@ -149,11 +160,17 @@ def complex_roots(coeffs: Sequence) -> list[complex]:
 
 def _aberth(coeffs) -> list[complex]:
     """Aberth-Ehrlich simultaneous iteration: the iterates once they settle,
-    or after ``ABERTH_MAX_SWEEPS`` sweeps; :func:`complex_roots` checks them."""
+    or after ``ABERTH_MAX_SWEEPS`` sweeps; :func:`complex_roots` checks them.
+    p and p' are evaluated by Horner from the leading coefficient and the
+    Aberth sum is a left fold from the int 0, written out so that every
+    iterate's bits follow from these operations alone."""
     deg = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
     deriv = [k * monic[k] for k in range(1, deg + 1)]
     radius = 1.0 + max(abs(c) for c in monic[:-1])
+    # leading first, for Horner
+    p_lead, *p_rest = reversed(monic)
+    d_lead, *d_rest = reversed(deriv)
     # perturbed circle: irrational-ish angle offset plus a mild radius ramp
     # so symmetric polynomials cannot lock the iteration
     zs = [
@@ -163,18 +180,26 @@ def _aberth(coeffs) -> list[complex]:
     for _ in range(ABERTH_MAX_SWEEPS):
         settled = True
         for j in range(deg):
-            pj = evaluate(monic, zs[j])
-            dj = evaluate(deriv, zs[j])
+            z = zs[j]
+            pj = p_lead
+            for c in p_rest:
+                pj = pj * z + c
+            dj = d_lead
+            for c in d_rest:
+                dj = dj * z + c
             if dj == 0:
-                zs[j] += (1e-6 + 1e-6j) * (1 + abs(zs[j]))
+                zs[j] = z + (1e-6 + 1e-6j) * (1 + abs(z))
                 settled = False
                 continue
             w = pj / dj
-            s = sum(1 / (zs[j] - zs[k]) for k in range(deg) if k != j)
+            s = 0
+            for k, zk in enumerate(zs):
+                if k != j:
+                    s = s + 1 / (z - zk)
             denom = 1 - w * s
             step = w if denom == 0 else w / denom
-            zs[j] -= step
-            if abs(step) > 1e-14 * (1 + abs(zs[j])):
+            zs[j] = z = z - step
+            if abs(step) > 1e-14 * (1 + abs(z)):
                 settled = False
         if settled:
             break
@@ -376,10 +401,14 @@ def _substitution(coeffs, product, spectra):
     denominator of the coefficients, one forward butterfly takes d*r to its
     components y, Horner runs on each component on Gaussian integers,
     D * d**n * p(y/d) = sum (D*c_k) y**k d**(n-k), and one inverse butterfly
-    gives 2**(order-1) * D * d**n * p(r) in the basis: O(order * 2**order +
-    n * 2**order) int operations per root instead of n products.  It starts
-    from the recombined coefficients, so it stays an independent check of
-    the recombination.  Only a nonzero value is divided back, by int true
+    gives 2**(order-1) * D * d**n * p(r) in the basis.  The Horner value is
+    kept by (component, y, d), so it runs once per distinct component
+    value, not once per root: a root costs one butterfly and 2**(order-1)
+    lookups, O(order * 2**order) int operations, plus the inverse butterfly
+    when the value is not zero.  It starts from the recombined coefficients,
+    so it stays an independent check of the recombination, and a wrong root
+    misses the kept values unless each of its components is, over the same
+    d, one already checked.  Only a nonzero value is divided back, by int true
     division, which rounds as ``float(Fraction)`` does, so the residual is
     the one the element Horner gives, bit for bit, whichever d is used.
     A float root, and an exact one (as Fractions) of a polynomial with
@@ -393,6 +422,24 @@ def _substitution(coeffs, product, spectra):
         order, top = width.bit_length() - 1, width >> 1
         # per flat index s, the Gaussian ints of component s, leading first
         comps = [[(v[s], v[s + top]) for v in reversed(vectors)] for s in range(top)]
+        degree = len(coeffs) - 1
+        # (s, y_re, y_im, d) -> D * d**n * p_s(y/d), the Horner value of
+        # component s; d is in the key, so a root over another denominator
+        # misses it
+        kept = {}
+
+    def component_value(key):
+        s, y_re, y_im, d = key
+        (acc_re, acc_im), *rest = comps[s]
+        scale = 1
+        for c_re, c_im in rest:
+            scale *= d
+            acc_re, acc_im = (
+                acc_re * y_re - acc_im * y_im + c_re * scale,
+                acc_re * y_im + acc_im * y_re + c_im * scale,
+            )
+        kept[key] = acc_re, acc_im
+        return acc_re, acc_im
 
     def residual(root, d=None) -> float:
         if d is not None and spectra is None:
@@ -402,40 +449,32 @@ def _substitution(coeffs, product, spectra):
             for c in reversed(coeffs[:-1]):
                 acc = tuple(map(add, product(acc, root), c))
             return scalar_norm(acc)
-        powers = [d]
-        for _ in range(len(coeffs) - 2):
-            powers.append(powers[-1] * d)
         v = _butterfly(root, order)
-        for s, ((acc_re, acc_im), *rest) in enumerate(comps):
-            y_re, y_im = v[s], v[s + top]
-            for (c_re, c_im), scale in zip(rest, powers):
-                acc_re, acc_im = (
-                    acc_re * y_re - acc_im * y_im + c_re * scale,
-                    acc_re * y_im + acc_im * y_re + c_im * scale,
-                )
-            v[s], v[s + top] = acc_re, acc_im
+        for s in range(top):
+            key = s, v[s], v[s + top], d
+            v[s], v[s + top] = kept.get(key) or component_value(key)
         if not any(v):
             return 0.0
-        den = D * powers[-1] << (order - 1)
+        den = D * d**degree << (order - 1)
         return scalar_norm([x / den for x in _unbutterfly(v, order)])
 
     return residual
 
 
-def _recombine(combo, order: int, half) -> tuple:
+def _recombine(combo, order: int, half, d: int) -> tuple:
     """The coefficients of the element whose split components are the roots
     of ``combo``, by the inverse butterfly, as (coefficients, d).  A root's
-    record is its float (real, imaginary) pair and its exact ``(a, b, d)``
-    point, None for a float root.  When every root is exact the
-    coefficients are the ints of d times the element, d being 2**(order-1)
-    times the roots' common denominator; otherwise they are the
-    recombination of the roots' floats, halved by ``half``, and d is None."""
+    record is its float (real, imaginary) pair, the Gaussian integer of D
+    times it for an exact root or None for a float one, D the common
+    denominator of all exact roots of the solve, and its index in its
+    component's root list.  When every root is exact
+    the coefficients are the ints of d times the element, d being the given
+    2**(order-1) * D; otherwise they are the recombination of the roots'
+    floats, halved by ``half``, and d is None."""
     exact = [r[1] for r in combo]
     if None in exact:
         return tuple(_unbutterfly(_spectrum_list([r[0] for r in combo], order), order, half)), None
-    den = math.lcm(*[e[2] for e in exact])
-    pairs = [(p * (den // d), q * (den // d)) for p, q, d in exact]
-    return _unbutterfly(_spectrum_list(pairs, order), order), den << (order - 1)
+    return _unbutterfly(_spectrum_list(exact, order), order), d
 
 
 def _solve_components(coeffs, algebra: _Algebra) -> RootSet:
@@ -447,12 +486,20 @@ def _solve_components(coeffs, algebra: _Algebra) -> RootSet:
     Gaussian integers (:func:`_integer_spectra`); the extractor takes them
     as they are, and its exact points become root records directly.  Float
     and mixed coefficients take the algebra's own split.  Each component
-    root is recorded once.  A combination of exact roots is recombined and
-    substituted on ints, and only a root that passes becomes an element; any
-    other combination is recombined and substituted on floats.  A root fails
-    unless its residual is at most the tolerance, so a NaN residual fails.
+    root is recorded once, an exact one over the common denominator of all
+    exact roots of the solve.  A combination of exact roots is recombined
+    and substituted on ints, and only a root that passes becomes an
+    element; any other combination is recombined and substituted on floats.
+    A root fails unless its residual is at most the tolerance, so a NaN
+    residual fails; the error reports the failure first in the product of
+    the component root lists as the extractor gives them.
+
     Roots are sorted by their split components, the float pairs of their
-    combination.
+    combination.  Each component's records are sorted once, stably, and the
+    product of the sorted lists, each run of equal float pairs expanded in
+    list order, yields the combinations in that order with ties in the
+    order of the unsorted product: O(K * m log m) comparisons for K
+    components of degree m, not O(R log R) for the R roots.
     """
     spectra = _integer_spectra(coeffs, algebra.order)
     if spectra is None:
@@ -475,32 +522,39 @@ def _solve_components(coeffs, algebra: _Algebra) -> RootSet:
     if total > MAX_ROOTS:
         raise TooManyRoots(f"{total} roots exceed the cap of {MAX_ROOTS} per solve")
 
-    records = []
-    for c in comps:
-        exact, numeric = _extract(c, D)
+    found = [_extract(c, D) for c in comps]
+    den = math.lcm(*[d for exact, _ in found for _, _, d in exact])
+    grouped = []
+    for exact, numeric in found:
         # int true division rounds a / d as float(Fraction(a, d)) does
-        records.append(
-            [((a / d, b / d), (a, b, d)) for a, b, d in exact]
-            + [((z.real, z.imag), None) for z in numeric]
-        )
+        records = [
+            ((a / d, b / d), (a * (den // d), b * (den // d)), i)
+            for i, (a, b, d) in enumerate(exact)
+        ] + [((z.real, z.imag), None, i) for i, z in enumerate(numeric, len(exact))]
+        records.sort(key=itemgetter(0))
+        grouped.append([list(tie) for _, tie in itertools.groupby(records, itemgetter(0))])
     residual_of = _substitution(coeffs, algebra.product, spectra)
     tol = SOLVE_RESIDUAL_RTOL * (1.0 + max(scalar_norm(c) for c in coeffs))
-    roots, residuals, keys = [], [], []
-    for combo in itertools.product(*records):
-        values, d = _recombine(combo, algebra.order, algebra.half)
-        residual = residual_of(values, d)
+    d = den << (algebra.order - 1)
+    roots, residuals, failed = [], [], None
+    # the product of the sorted lists, each run of equal float pairs taken in
+    # list order: the combinations sorted by their float pairs, ties in the
+    # order of the unsorted product
+    for combo in itertools.chain.from_iterable(
+        itertools.product(*ties) for ties in itertools.product(*grouped)
+    ):
+        values, root_d = _recombine(combo, algebra.order, algebra.half, d)
+        residual = residual_of(values, root_d)
         if not residual <= tol:
-            raise NoConvergence(
-                f"recombined root fails substitution: residual {residual:.3e} > {tol:.3e}"
-            )
-        roots.append(algebra.element(values) if d is None else algebra.exact_element(values, d))
-        residuals.append(residual)
-        keys.append(sum([r[0] for r in combo], ()))
-
-    order = sorted(range(len(roots)), key=keys.__getitem__)
-    return RootSet(
-        kind="Finite",
-        counts=counts,
-        roots=tuple(roots[i] for i in order),
-        residuals=tuple(residuals[i] for i in order),
-    )
+            # the failure first in the unsorted product, whatever the sort
+            at = tuple(r[2] for r in combo)
+            if failed is None or at < failed[0]:
+                failed = at, residual
+        elif failed is None:
+            roots.append(algebra.element(values) if root_d is None else algebra.exact_element(values, root_d))
+            residuals.append(residual)
+    if failed is not None:
+        raise NoConvergence(
+            f"recombined root fails substitution: residual {failed[1]:.3e} > {tol:.3e}"
+        )
+    return RootSet(kind="Finite", counts=counts, roots=tuple(roots), residuals=tuple(residuals))

@@ -6,6 +6,7 @@ word reduction for commuting generators, fraction-free Gaussian
 elimination -- and never calls the code paths under test.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -402,6 +403,55 @@ def reference_stock_equation(base, terms):
     ints = [int(c * den) for c in stock]
     g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
     return tuple(Fraction(v, g) for v in ints)
+
+
+# The Aberth iteration of the complex root finder as the package first wrote
+# it: Horner through a general evaluation routine and the Aberth sum by
+# ``sum()`` over a generator.  The package's finder must give the same
+# iterates bit for bit.
+
+ABERTH_MAX_SWEEPS = 200
+
+
+def _evaluate(p, x):
+    if not p:
+        return 0
+    acc = p[-1]
+    for c in reversed(p[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def reference_aberth(coeffs) -> list:
+    deg = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in coeffs]
+    deriv = [k * monic[k] for k in range(1, deg + 1)]
+    radius = 1.0 + max(abs(c) for c in monic[:-1])
+    # perturbed circle: irrational-ish angle offset plus a mild radius ramp
+    # so symmetric polynomials cannot lock the iteration
+    zs = [
+        radius * (0.75 + 0.5 * j / deg) * cmath.exp(1j * (2 * math.pi * j / deg + 0.43))
+        for j in range(deg)
+    ]
+    for _ in range(ABERTH_MAX_SWEEPS):
+        settled = True
+        for j in range(deg):
+            pj = _evaluate(monic, zs[j])
+            dj = _evaluate(deriv, zs[j])
+            if dj == 0:
+                zs[j] += (1e-6 + 1e-6j) * (1 + abs(zs[j]))
+                settled = False
+                continue
+            w = pj / dj
+            s = sum(1 / (zs[j] - zs[k]) for k in range(deg) if k != j)
+            denom = 1 - w * s
+            step = w if denom == 0 else w / denom
+            zs[j] -= step
+            if abs(step) > 1e-14 * (1 + abs(zs[j])):
+                settled = False
+        if settled:
+            break
+    return zs
 
 
 # The solver's per-root stage as element arithmetic, the way the package ran

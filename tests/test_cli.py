@@ -20,7 +20,7 @@ from hypercomplex.quadruple import TableMismatch
 from hypercomplex.scalars import ComputationalError, InvariantError, ZeroInput
 from hypercomplex.surd import ParseError, UnsupportedNesting, VanishedStock
 
-from test_imports import REPEATED_ROOTS
+from test_imports import REPEATED_ROOTS, RUN_CLI, python
 
 
 def run(*argv):
@@ -234,6 +234,16 @@ class TestPoly:
         code, out, err = run("poly", "solve", "--algebra", "bicomplex", "--coeffs", str(coeffs))
         assert (code, out) == (1, "")
         assert err == "error: recombined root fails substitution: residual nan > 1.000e+191\n"
+
+    @pytest.mark.parametrize("algebra, pad", [("bicomplex", ""), ("mc:2", ",0,0,0")])
+    @pytest.mark.parametrize("rows", [("1", "1e309", "1"), ("1e309", "1")], ids=["quadratic", "linear"])
+    def test_overflowing_coefficient_exits_two_with_one_line(self, tmp_path, algebra, pad, rows):
+        # a fresh process, so that a warning printed on the way would show in stderr
+        coeffs = tmp_path / "coeffs.txt"
+        coeffs.write_text("".join(row + pad + "\n" for row in rows), encoding="utf-8")
+        done = python(RUN_CLI, "poly", "solve", "--algebra", algebra, "--coeffs", str(coeffs))
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == b"error: coefficients must be finite\n"
 
     def test_unknown_algebra_exits_two(self, tmp_path):
         coeffs = tmp_path / "coeffs.txt"

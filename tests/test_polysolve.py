@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -43,7 +44,7 @@ from hypercomplex import ratpoly as rp
 from hypercomplex.ratpoly import exact_roots, rational_roots
 from hypercomplex.scalars import RationalComplex, common_denominator, scalar_norm
 
-from oracles import element_path_root_set
+from oracles import element_path_root_set, reference_aberth
 from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
 
 
@@ -135,6 +136,55 @@ class TestComplexRoots:
             complex_roots([1])
         with pytest.raises(ValueError):
             complex_roots([1, 0])
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1, math.inf, 1], [math.inf, 1], [1, math.nan, 1], [1, complex(0, -math.inf)], [0, 1, math.inf]],
+        ids=["quadratic-inf", "linear-inf", "nan", "imaginary-inf", "leading-inf"],
+    )
+    def test_non_finite_coefficients_rejected_before_a_finder_runs(self, coeffs, monkeypatch):
+        def no_finder(cs):
+            raise AssertionError("a finder ran")
+
+        monkeypatch.setattr(polysolve, "_aberth", no_finder)
+        monkeypatch.setattr(polysolve, "_companion_roots", no_finder)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                complex_roots(coeffs)
+
+
+def float_bits(zs) -> list:
+    return [x.hex() for z in zs for x in (z.real, z.imag)]
+
+
+class TestAberthBits:
+    """The finder's iterates keep the bits of the reference iteration in
+    ``tests/oracles.py``, settled or not."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        coeffs=st.integers(min_value=2, max_value=20).flatmap(
+            lambda deg: st.lists(
+                st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                min_size=deg,
+                max_size=deg,
+            )
+        ),
+        lead=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    )
+    def test_iterates_match_the_reference(self, coeffs, lead):
+        cs = [*coeffs, lead]
+        assert float_bits(polysolve._aberth(cs)) == float_bits(reference_aberth(cs))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[-1e30] + [0] * 9 + [1], [-1e62, 0, 0, 0, 0, 1], [0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0, 1]],
+        ids=["z^10-1e30", "z^5-1e62", "z^2", "z^8+1"],
+    )
+    def test_fixed_cases_match_the_reference(self, coeffs):
+        cs = [complex(c) for c in coeffs]
+        assert float_bits(polysolve._aberth(cs)) == float_bits(reference_aberth(cs))
 
 
 class TestSplitPolynomial:
@@ -631,6 +681,35 @@ class TestRootSetMatchesElementPath:
         assert all(r.is_exact() for r in got.roots)
         assert repr(got) == repr(element_path_root_set(coeffs))
 
+    # Component roots from a pool of four, so that equal roots, and equal
+    # float pairs across combinations, are common.
+    @settings(deadline=None, max_examples=40)
+    @given(
+        order=st.sampled_from([2, 3]),
+        kind=st.sampled_from(["double", "irrational", "float"]),
+        data=st.data(),
+    )
+    def test_same_repr_on_ties(self, order, kind, data):
+        pool = st.sampled_from([(0, 0), (1, 0), (-1, 2), (1, 2)])
+        one = RationalComplex(Fraction(1))
+        comps = []
+        for k in range(1 << (order - 1)):
+            roots = data.draw(st.lists(pool, min_size=1, max_size=2))
+            if k == 0 and kind == "double":
+                roots = [roots[0], *roots]
+            cofactor = [-2 * one, 0 * one, one] if k == 0 and kind == "irrational" else [one]
+            roots = [RationalComplex(Fraction(a, 2), Fraction(b, 2)) for a, b in roots]
+            comps.append(times_roots(cofactor, roots))
+        top = max(len(c) for c in comps)
+        comps = [c + [0 * one] * (top - len(c)) for c in comps]
+        if kind == "float":
+            comps = [[complex(z) for z in c] for c in comps]
+        coeffs = [Multicomplex.unsplit([c[j] for c in comps], order) for j in range(top)]
+        assert repr(mc_solve(coeffs)) == repr(element_path_root_set(coeffs))
+        if order == 2:
+            bc = [Bicomplex(*c.coeffs) for c in coeffs]
+            assert repr(solve(BicomplexPoly(tuple(bc)))) == repr(element_path_root_set(bc))
+
 
 class TestRootOrder:
     def test_roots_sharing_a_component_follow_the_next_one(self):
@@ -667,53 +746,87 @@ class TestRootCap:
             mc_solve(coeffs)
 
 
-def perturb_second_root(monkeypatch, delta):
-    """Patch the recombination so the second root it builds is off by
-    ``delta``, a coefficient tuple; returns the roots it built, as
-    coefficient tuples of exact values or floats."""
+def perturb_root(monkeypatch, move, at=2):
+    """Patch the recombination so that the ``at``-th root it builds, as
+    (values, d), is replaced by ``move(values, d)``; returns the roots the
+    substitution check is given, as coefficient tuples of exact values or
+    floats."""
     original = polysolve._recombine
-    built = []
+    checked = []
 
     def perturbed(*args):
         values, d = original(*args)
+        if len(checked) + 1 == at:
+            values, d = move(values, d)
+        checked.append(list(values) if d is None else [Fraction(v, d) for v in values])
+        return values, d
+
+    monkeypatch.setattr(polysolve, "_recombine", perturbed)
+    return checked
+
+
+def shifted_by(delta):
+    """A move for :func:`perturb_root`: the root plus ``delta``, a
+    coefficient tuple, exact roots over their new common denominator."""
+    def move(values, d):
         root = list(values) if d is None else [Fraction(v, d) for v in values]
-        built.append(root)
-        if len(built) != 2:
-            return values, d
         moved = [x + e for x, e in zip(root, delta)]
         if d is None:
             return tuple(moved), None
         d, ints = common_denominator(moved)
         return ints, d
 
-    monkeypatch.setattr(polysolve, "_recombine", perturbed)
-    return built
+    return move
+
+
+def first_int_plus_one(values, d):
+    """A move for :func:`perturb_root`: the first int one more, over the
+    solve's own denominator d."""
+    return [values[0] + 1, *values[1:]], d
+
+
+def halved(values, d):
+    """A move for :func:`perturb_root`: the same ints over twice d, so every
+    component of the moved root has the ints of a correct one."""
+    return values, 2 * d
+
+
+def components_swapped(values, d):
+    """A move for :func:`perturb_root` on a bicomplex root: the root with its
+    two split components swapped, over the same d, so each component of the
+    moved root has the ints of a correct root of the other component."""
+    z1, z2 = Bicomplex(*[Fraction(v, d) for v in values]).decompose()
+    swapped = [c * d for c in Bicomplex.recompose(SplitPair(z2, z1)).components()]
+    assert all(c.denominator == 1 for c in swapped)
+    return [int(c) for c in swapped], d
 
 
 class TestSubstitutionCatchesBadRecombination:
     """A root recombined wrongly fails the substitution check, whether it
     was recombined on the ints of exact roots (the polynomials with exact
-    coefficients) or on floats."""
+    coefficients) or on floats.  The exact check keeps the value of each
+    component it has seen; a wrong root must miss those values, also when
+    it keeps the solve's denominator and when every value is already kept."""
 
     @staticmethod
-    def check_bicomplex(monkeypatch, one, scale=1):
-        delta = Bicomplex(0, 0, 0, Fraction(1, 1000))
-        built = perturb_second_root(monkeypatch, delta.components())
+    def check_bicomplex(monkeypatch, one, scale=1, move=None):
+        move = move or shifted_by(Bicomplex(0, 0, 0, Fraction(1, 1000)).components())
+        checked = perturb_root(monkeypatch, move)
         coeffs = (Bicomplex(-one * scale), ZERO, Bicomplex(scale))
         with pytest.raises(NoConvergence) as excinfo:
             solve(BicomplexPoly(coeffs))
-        residual = basis_norm(element_horner(coeffs, Bicomplex(*built[1]) + delta))
+        residual = basis_norm(element_horner(coeffs, Bicomplex(*checked[1])))
         assert f"residual {residual:.3e}" in str(excinfo.value)
         return residual
 
     @staticmethod
-    def check_multicomplex(monkeypatch, order, one, scale=1):
-        delta = Multicomplex.scalar(order, Fraction(1, 1000))
-        built = perturb_second_root(monkeypatch, delta.coeffs)
+    def check_multicomplex(monkeypatch, order, one, scale=1, move=None, at=2):
+        move = move or shifted_by(Multicomplex.scalar(order, Fraction(1, 1000)).coeffs)
+        checked = perturb_root(monkeypatch, move, at)
         coeffs = [Multicomplex.scalar(order, -one * scale), Multicomplex.scalar(order, 0), Multicomplex.scalar(order, scale)]
         with pytest.raises(NoConvergence) as excinfo:
             mc_solve(coeffs)
-        residual = basis_norm(element_horner(coeffs, Multicomplex(order, built[1]) + delta))
+        residual = basis_norm(element_horner(coeffs, Multicomplex(order, checked[at - 1])))
         assert f"residual {residual:.3e}" in str(excinfo.value)
         return residual
 
@@ -741,3 +854,38 @@ class TestSubstitutionCatchesBadRecombination:
         else:
             residual = self.check_multicomplex(monkeypatch, order, one, one * 10**200)
         assert 1e197 < residual < math.inf
+
+    def test_exact_root_over_the_solves_denominator(self, monkeypatch):
+        self.check_bicomplex(monkeypatch, 1, move=first_int_plus_one)
+        monkeypatch.undo()
+        self.check_multicomplex(monkeypatch, 3, 1, move=first_int_plus_one)
+
+    @pytest.mark.parametrize("move", [shifted_by(Multicomplex.scalar(3, Fraction(1, 1000)).coeffs), halved], ids=["shifted", "halved"])
+    def test_last_exact_root_after_every_component_value_is_kept(self, monkeypatch, move):
+        # z**2 = 1 at order 3: 16 roots over the component values +-1
+        self.check_multicomplex(monkeypatch, 3, 1, move=move, at=16)
+
+    def test_the_failure_reported_is_the_first_of_the_unsorted_product(self, monkeypatch):
+        # (z - 3)(z**2 - 2) in both components: each lists its exact root 3
+        # first and sorts it last, after -sqrt(2) and sqrt(2)
+        delta = Bicomplex(0, 0, 0, Fraction(1, 1000))
+        move = shifted_by(delta.components())
+        original = polysolve._recombine
+        monkeypatch.setattr(polysolve, "_recombine", lambda *args: move(*original(*args)))
+        coeffs = tuple(Bicomplex(c) for c in (6, -2, -3, 1))
+        with pytest.raises(NoConvergence) as excinfo:
+            solve(BicomplexPoly(coeffs))
+        residual = basis_norm(element_horner(coeffs, Bicomplex(3) + delta))
+        assert f"residual {residual:.3e} >" in str(excinfo.value)
+
+    def test_exact_root_with_its_components_swapped(self, monkeypatch):
+        # components (z - 1)(z - 3) and (z - 2)(z - 4): the last root, (3, 4),
+        # becomes (4, 3), whose component values are kept, each for the
+        # other component
+        checked = perturb_root(monkeypatch, components_swapped, at=4)
+        pairs = [(3, 8), (-4, -6), (1, 1)]
+        coeffs = tuple(Bicomplex.recompose(SplitPair(RationalComplex(Fraction(a)), RationalComplex(Fraction(b)))) for a, b in pairs)
+        with pytest.raises(NoConvergence) as excinfo:
+            solve(BicomplexPoly(coeffs))
+        residual = basis_norm(element_horner(coeffs, Bicomplex(*checked[3])))
+        assert f"residual {residual:.3e}" in str(excinfo.value)
