@@ -11,15 +11,16 @@ polynomial vanishes identically the solution set is an infinite family:
 the vanished components are free and the rest are pinned to the root
 list of their component polynomial.
 
-The complex root finder is Aberth-Ehrlich simultaneous iteration with a
-Cauchy-bound initial circle, falling back to companion-matrix eigenvalues
-when its iterates miss the residual bound; :func:`complex_roots` applies
-that one test to both, and a NaN residual fails it.  It refuses a
-non-finite coefficient with ``ValueError`` before either runs.  Roots of
-exact-coefficient components are extracted as Gaussian rationals by
-:func:`ratpoly.exact_roots`, shared with ``surd``, so rational root sets
-(and their residuals) come out exactly zero.  A component polynomial goes
-to :func:`ratpoly.squarefree_roots`, which splits it into squarefree
+The complex root finder is Aberth-Ehrlich simultaneous iteration started
+from the Newton polygon of |a_k|, one circle per edge (Bini 1996), falling
+back to companion-matrix eigenvalues when its iterates miss the residual
+bound; :func:`complex_roots` applies that one test to both, and a NaN
+residual fails it.  It refuses a non-finite coefficient with
+``ValueError`` before either runs.  Roots of exact-coefficient components
+are extracted as Gaussian rationals by :func:`ratpoly.exact_roots`, shared
+with ``surd``, so rational root sets (and their residuals) come out
+exactly zero.  A component polynomial goes to
+:func:`ratpoly.squarefree_roots`, which splits it into squarefree
 factors unless one gcd modulo a prime proves it squarefree; on each, every
 float root proposes one candidate, rounded by the rational root theorem, as
 ``(a, b, d)`` ints, the Gaussian integer a + b*i over d.
@@ -158,25 +159,60 @@ def complex_roots(coeffs: Sequence) -> list[complex]:
     return roots
 
 
+def _aberth_start(coeffs) -> list[complex]:
+    """The deg starting points of :func:`_aberth`, from the Newton polygon of
+    |a_k| (Bini 1996): the upper convex hull of (k, log|a_k|) over the
+    nonzero a_k, by one monotone-chain pass.  An edge from i to j gets j - i
+    points on the circle of radius (|a_i|/|a_j|)**(1/(j-i)), at angles
+    2*pi*(m/(j-i) + i/deg) + 0.43, the offset keeping symmetric polynomials
+    from locking the iteration.  The pass pops a vertex unless its left
+    edge's circle is strictly smaller than its right edge's, so no two
+    points coincide.  When a_0 .. a_{l-1} vanish, the l roots at 0 start on
+    a circle of half the smallest radius, or of radius 1 if there is no
+    edge."""
+    deg = len(coeffs) - 1
+    vertices = []  # (k, log|a_k|)
+    radii = []     # radii[e]: the circle of the edge from vertex e to e + 1
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        y = math.log(abs(c))
+        while vertices:
+            i, yi = vertices[-1]
+            # clamped to the normal float range: exp cannot overflow, and
+            # the points of a circle stay distinct
+            r = math.exp(max(-700.0, min(700.0, (yi - y) / (k - i))))
+            if not radii or radii[-1] < r:
+                radii.append(r)
+                break
+            vertices.pop()
+            radii.pop()
+        vertices.append((k, y))
+    low = vertices[0][0]
+    edges = [(0, low, radii[0] / 2 if radii else 1.0)] if low else []
+    edges += [(i, j, r) for (i, _), (j, _), r in zip(vertices, vertices[1:], radii)]
+    return [
+        cmath.rect(r, 2 * math.pi * (m / (j - i) + i / deg) + 0.43)
+        for i, j, r in edges
+        for m in range(j - i)
+    ]
+
+
 def _aberth(coeffs) -> list[complex]:
-    """Aberth-Ehrlich simultaneous iteration: the iterates once they settle,
-    or after ``ABERTH_MAX_SWEEPS`` sweeps; :func:`complex_roots` checks them.
-    p and p' are evaluated by Horner from the leading coefficient and the
-    Aberth sum is a left fold from the int 0, written out so that every
-    iterate's bits follow from these operations alone."""
+    """Aberth-Ehrlich simultaneous iteration from :func:`_aberth_start`: the
+    iterates once they settle, or after ``ABERTH_MAX_SWEEPS`` sweeps;
+    :func:`complex_roots` checks them.  p and p' are evaluated by Horner
+    from the leading coefficient and the Aberth sum is a left fold from the
+    int 0, written out so that every iterate's bits follow from these
+    operations alone."""
     deg = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
     deriv = [k * monic[k] for k in range(1, deg + 1)]
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
     # leading first, for Horner
     p_lead, *p_rest = reversed(monic)
     d_lead, *d_rest = reversed(deriv)
-    # perturbed circle: irrational-ish angle offset plus a mild radius ramp
-    # so symmetric polynomials cannot lock the iteration
-    zs = [
-        radius * (0.75 + 0.5 * j / deg) * cmath.exp(1j * (2 * math.pi * j / deg + 0.43))
-        for j in range(deg)
-    ]
+    # from the polynomial iterated, whose coefficients may have underflowed
+    zs = _aberth_start(monic)
     for _ in range(ABERTH_MAX_SWEEPS):
         settled = True
         for j in range(deg):

@@ -405,10 +405,11 @@ def reference_stock_equation(base, terms):
     return tuple(Fraction(v, g) for v in ints)
 
 
-# The Aberth iteration of the complex root finder as the package first wrote
-# it: Horner through a general evaluation routine and the Aberth sum by
-# ``sum()`` over a generator.  The package's finder must give the same
-# iterates bit for bit.
+# The Aberth iteration of the complex root finder, started from the Newton
+# polygon of |a_k|: a verbatim copy of the package's start, then Horner
+# through a general evaluation routine and the Aberth sum as an explicit left
+# fold from 0, so that its bits do not depend on how ``sum()`` adds complex
+# numbers.  The package's finder must give the same iterates bit for bit.
 
 ABERTH_MAX_SWEEPS = 200
 
@@ -422,17 +423,38 @@ def _evaluate(p, x):
     return acc
 
 
+def reference_aberth_start(coeffs) -> list:
+    deg = len(coeffs) - 1
+    vertices = []
+    radii = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        y = math.log(abs(c))
+        while vertices:
+            i, yi = vertices[-1]
+            r = math.exp(max(-700.0, min(700.0, (yi - y) / (k - i))))
+            if not radii or radii[-1] < r:
+                radii.append(r)
+                break
+            vertices.pop()
+            radii.pop()
+        vertices.append((k, y))
+    low = vertices[0][0]
+    edges = [(0, low, radii[0] / 2 if radii else 1.0)] if low else []
+    edges += [(i, j, r) for (i, _), (j, _), r in zip(vertices, vertices[1:], radii)]
+    return [
+        cmath.rect(r, 2 * math.pi * (m / (j - i) + i / deg) + 0.43)
+        for i, j, r in edges
+        for m in range(j - i)
+    ]
+
+
 def reference_aberth(coeffs) -> list:
     deg = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
     deriv = [k * monic[k] for k in range(1, deg + 1)]
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    # perturbed circle: irrational-ish angle offset plus a mild radius ramp
-    # so symmetric polynomials cannot lock the iteration
-    zs = [
-        radius * (0.75 + 0.5 * j / deg) * cmath.exp(1j * (2 * math.pi * j / deg + 0.43))
-        for j in range(deg)
-    ]
+    zs = reference_aberth_start(monic)
     for _ in range(ABERTH_MAX_SWEEPS):
         settled = True
         for j in range(deg):
@@ -443,7 +465,10 @@ def reference_aberth(coeffs) -> list:
                 settled = False
                 continue
             w = pj / dj
-            s = sum(1 / (zs[j] - zs[k]) for k in range(deg) if k != j)
+            s = 0
+            for k in range(deg):
+                if k != j:
+                    s = s + 1 / (zs[j] - zs[k])
             denom = 1 - w * s
             step = w if denom == 0 else w / denom
             zs[j] -= step
@@ -452,6 +477,29 @@ def reference_aberth(coeffs) -> list:
         if settled:
             break
     return zs
+
+
+def newton_polygon_radii(coeffs) -> list:
+    """The radii of the Newton polygon of |a_k|, one per root, from first
+    principles: the least concave majorant H of log|a_k| over the nonzero
+    a_k, evaluated at every integer k by brute force over all pairs i <= k
+    <= j, gives the radius exp(H(k) - H(k+1)) of the k-th root.  The roots
+    at 0 (a_0 .. a_{l-1} vanish) get half the smallest radius, or 1 when
+    there is no other root."""
+    logs = {k: math.log(abs(c)) for k, c in enumerate(coeffs) if c}
+    ks = sorted(logs)
+
+    def majorant(k):
+        return max(
+            logs[i] + (logs[j] - logs[i]) * (k - i) / (j - i) if j > i else logs[i]
+            for i in ks
+            for j in ks
+            if i <= k <= j
+        )
+
+    low, deg = ks[0], ks[-1]
+    radii = [math.exp(majorant(k) - majorant(k + 1)) for k in range(low, deg)]
+    return [min(radii) / 2 if radii else 1.0] * low + radii
 
 
 # The solver's per-root stage as element arithmetic, the way the package ran

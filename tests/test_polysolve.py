@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import time
@@ -44,13 +45,25 @@ from hypercomplex import ratpoly as rp
 from hypercomplex.ratpoly import exact_roots, rational_roots
 from hypercomplex.scalars import RationalComplex, common_denominator, scalar_norm
 
-from oracles import element_path_root_set, reference_aberth
+from oracles import element_path_root_set, newton_polygon_radii, reference_aberth
 from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
 
 
 def split_polynomial(p: BicomplexPoly) -> list:
     """The two split component polynomials of p, by the solver's own split."""
     return _split_components([c.components() for c in p.coeffs], _BICOMPLEX)
+
+
+def expand_polynomials(*factors):
+    """Ascending coefficients of the product of ascending factors."""
+    out = [1]
+    for f in factors:
+        prod = [0j] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def expand_from_roots(roots):
@@ -61,6 +74,16 @@ def expand_from_roots(roots):
         for i in range(len(coeffs) - 1):
             coeffs[i] -= r * coeffs[i + 1]
     return coeffs
+
+
+# z**n - c with |a_k| spread over 11 to 62 decades
+WIDE_SPREAD = [
+    [-1e30] + [0] * 9 + [1],
+    [-1e62, 0, 0, 0, 0, 1],
+    [-1e30] + [0] * 19 + [1],
+    [-1e11] + [0] * 29 + [1],
+]
+WIDE_SPREAD_IDS = ["z^10-1e30", "z^5-1e62", "z^20-1e30", "z^30-1e11"]
 
 
 class TestComplexRoots:
@@ -111,22 +134,29 @@ class TestComplexRoots:
         assert len(roots) == 2
         assert len({(round(r.real, 12), round(r.imag, 12)) for r in roots}) == 1
 
-    @pytest.mark.parametrize(
-        "coeffs",
-        [[-1e30] + [0] * 9 + [1], [-1e62, 0, 0, 0, 0, 1]],
-        ids=["z^10-1e30", "z^5-1e62"],
-    )
+    @pytest.mark.parametrize("coeffs", WIDE_SPREAD, ids=WIDE_SPREAD_IDS)
     def test_wide_coefficient_spread(self, coeffs):
-        # Aberth's start circle overflows to inf here; the companion matrix
-        # still finds every root of z**n = c
+        # every root lies on |z| = |c|**(1/n), the Newton polygon's one
+        # circle, where Aberth starts; from a circle as large as
+        # 1 + max|a_k/a_n| Horner overflows to inf
         n, c = len(coeffs) - 1, -coeffs[0]
         roots = complex_roots(coeffs)
         assert len(roots) == n
         assert all(abs(abs(r) / c ** (1 / n) - 1) <= 1e-12 for r in roots)
 
+    @pytest.mark.parametrize("coeffs", WIDE_SPREAD, ids=WIDE_SPREAD_IDS)
+    def test_wide_coefficient_spread_without_the_fallback(self, coeffs, monkeypatch):
+        def no_fallback(cs):
+            raise AssertionError("the companion fallback ran")
+
+        monkeypatch.setattr(polysolve, "_companion_roots", no_fallback)
+        self.test_wide_coefficient_spread(coeffs)
+
     def test_fallback_roots_with_a_nan_residual_are_refused(self, monkeypatch):
-        # Aberth fails on z**5 - 1e62; fallback roots as large as 1e200
-        # overflow Horner to inf * 0 = nan, and a NaN residual must fail
+        # non-finite Aberth iterates send z**5 - 1e62 to the fallback, whose
+        # roots as large as 1e200 overflow Horner to inf * 0 = nan, and a
+        # NaN residual must fail
+        monkeypatch.setattr(polysolve, "_aberth", lambda cs: [complex(math.nan, math.nan)] * 5)
         monkeypatch.setattr(polysolve, "_companion_roots", lambda cs: [complex(1e200, 0)] * 5)
         with pytest.raises(NoConvergence, match="worst residual nan exceeds"):
             complex_roots([-1e62, 0, 0, 0, 0, 1])
@@ -179,12 +209,93 @@ class TestAberthBits:
 
     @pytest.mark.parametrize(
         "coeffs",
-        [[-1e30] + [0] * 9 + [1], [-1e62, 0, 0, 0, 0, 1], [0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0, 1]],
-        ids=["z^10-1e30", "z^5-1e62", "z^2", "z^8+1"],
+        [
+            [-1e30] + [0] * 9 + [1],
+            [-1e62, 0, 0, 0, 0, 1],
+            [0, 0, 1],
+            [1, 0, 0, 0, 0, 0, 0, 0, 1],
+            [-1e30] + [0] * 19 + [1],
+            [0, 0, 0, 1e-8, 0, 1],
+        ],
+        ids=["z^10-1e30", "z^5-1e62", "z^2", "z^8+1", "z^20-1e30", "z^5+1e-8z^3"],
     )
     def test_fixed_cases_match_the_reference(self, coeffs):
         cs = [complex(c) for c in coeffs]
         assert float_bits(polysolve._aberth(cs)) == float_bits(reference_aberth(cs))
+
+
+# a coefficient: 0, or modulus 10**-30 .. 10**30 at any phase
+wide_coefficients = st.one_of(
+    st.just(0j),
+    st.builds(
+        cmath.rect,
+        st.floats(min_value=-30, max_value=30).map(lambda e: 10.0**e),
+        st.floats(min_value=0, max_value=2 * math.pi),
+    ),
+)
+
+
+class TestAberthStart:
+    """The Newton-polygon start: deg finite, pairwise distinct points whose
+    moduli are the polygon's radii, each as often as its edge is long."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        coeffs=st.lists(wide_coefficients, min_size=1, max_size=20),
+        lead=wide_coefficients.filter(bool),
+    )
+    def test_points_lie_on_the_newton_polygon_circles(self, coeffs, lead):
+        cs = [*coeffs, lead]
+        zs = polysolve._aberth_start(cs)
+        assert len(zs) == len(cs) - 1
+        assert all(map(cmath.isfinite, zs))
+        assert len(set(zs)) == len(zs)
+        moduli = sorted(map(abs, zs))
+        for got, want in zip(moduli, sorted(newton_polygon_radii(cs))):
+            assert abs(got - want) <= 1e-9 * want
+
+    def test_vanishing_low_coefficients_start_inside(self):
+        # z**2: no edge, both points on the unit circle; z**2 (z - 4): the
+        # two roots at 0 start on half the edge's circle
+        assert sorted(map(abs, polysolve._aberth_start([0, 0, 1]))) == pytest.approx([1, 1])
+        assert sorted(map(abs, polysolve._aberth_start([0, 0, -4, 1]))) == pytest.approx([2, 2, 4])
+
+    def test_the_start_is_that_of_the_polynomial_iterated(self):
+        # a_0/a_3 = 1e-600 underflows, so the iteration solves z**3; started
+        # on the circle of 1e-200 instead, p' underflows to 0 at every
+        # point, and the nudge for p' = 0 merges them into one
+        zs = polysolve._aberth([1e-300, 0, 0, 1e300])
+        assert len(zs) == 3
+        assert all(map(cmath.isfinite, zs))
+
+
+class TestAgainstMpmath:
+    """Every root of a wide-spread polynomial matches mpmath's within 1e-9
+    relative."""
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        WIDE_SPREAD
+        + [
+            [-1e-20, 0, 0, 0, 0, 0, 1],
+            [-1, 0, 0, 0, 1e-30],
+            expand_polynomials([1e-12, 0, 0, 0, 1], [-1e12, 0, 0, 0, 1]),
+            expand_polynomials([1e-12j, 0, 0, 0, 1], [-1e8, 0, 0, 0, 1]),
+            expand_polynomials([1e-8, 0, 1], [-1e6, 0, 0, 1], [-3, 1]),
+        ],
+        ids=WIDE_SPREAD_IDS
+        + ["z^6-1e-20", "1e-30z^4-1", "(z^4+1e-12)(z^4-1e12)", "(z^4+1e-12i)(z^4-1e8)", "(z^2+1e-8)(z^3-1e6)(z-3)"],
+    )
+    def test_roots_match_mpmath(self, coeffs):
+        mpmath = pytest.importorskip("mpmath")
+        reference = [
+            complex(r)
+            for r in mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)], maxsteps=500, extraprec=500)
+        ]
+        roots = complex_roots(coeffs)
+        assert len(roots) == len(reference)
+        for r in roots:
+            assert min(abs(r - q) / abs(q) for q in reference) <= 1e-9
 
 
 class TestSplitPolynomial:
