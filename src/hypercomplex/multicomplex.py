@@ -25,20 +25,27 @@ coefficient list, n - 1 stages of 2**n scalar additions: O(n * 2**n).
 
 A product of two elements takes one of three routes (see :func:`_route`):
 
-* the spectrum, for dense exact operands from order 3: the butterfly runs
-  on the integer coefficients of d * a, d a common denominator, the
+* the spectrum, for dense exact operands from order 3, and for zero-free
+  operands of finite real scalars, floats among them, from order 6: every
+  value enters as the rational ``as_integer_ratio`` gives, the butterfly
+  runs on the integer coefficients of d * a, d a common denominator, the
   components are multiplied (or raised to the power) one by one, and the
   inverse butterfly and one division by d * 2**(n-1) give the result, so
-  the product costs O(n * 2**n) instead of O(4**n);
+  the product costs O(n * 2**n) instead of O(4**n).  On exact operands
+  the division is exact; with a float among them it is one int true
+  division per coefficient, which rounds the exact value once, to the
+  nearest float, ties to even.  Where that overflows, the product is the
+  direct sum below, so inf and nan come out as the sum gives them;
 * the gather tables, for operands of real scalars with no zero
-  coefficient at orders 4 to 8, floats among them: the additions of the
+  coefficient at orders 4 and 5, floats among them: the additions of the
   direct sum, in its order, run by ``map`` and ``reduce`` in C over
   signed-index gathers, one table per order built from the subset rule on
-  first use and cached (0.75 MB for orders 4 to 8), still O(4**n) but 1.4
-  to 1.8 times as fast, and its floats bit for bit;
-* the direct sum over the subset rule, for the rest (order <= 3, order >=
-  9, and sparse operands such as a scalar or a unit times an element),
-  which costs one term per pair of nonzero coefficients.
+  first use and cached (15 kB), still O(4**n) but 1.3 to 1.5 times as
+  fast, and its floats bit for bit;
+* the direct sum over the subset rule, for the rest (order <= 3, float
+  operands with a zero or an inf or nan, complex values, and sparse
+  operands such as a scalar or a unit times an element), which costs one
+  term per pair of nonzero coefficients.
 
 A plain number scales the coefficients, one term each.
 
@@ -51,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import frexp, isfinite
 from operator import add, itemgetter, mul, neg, or_
 
 from .bicomplex import Bicomplex
@@ -145,7 +153,16 @@ class Multicomplex(Element):
         for s in range(top):
             z = binary_power(RationalComplex(v[s], v[s + top]), k, one)
             v[s], v[s + top] = z.re, z.im
-        return Multicomplex(n, _from_integer_spectrum(v, n, d**k))
+        try:
+            return Multicomplex(n, _from_integer_spectrum(v, n, d**k, _has_float(self.coeffs)))
+        except OverflowError:
+            # square-and-multiply from the scalar 1, as Element.__pow__ takes
+            # it, each product the direct sum: inf and nan come out as it
+            # gives them
+            return Multicomplex(n, binary_power(
+                self.coeffs, k, Multicomplex.scalar(n, 1).coeffs,
+                lambda x, y: _direct_product(x, y, n),
+            ))
 
     def _from_scalar(self, value):
         if is_real_scalar(value):
@@ -250,9 +267,12 @@ def _route(a: tuple, b: tuple, order: int):
     Dense exact operands take the spectrum when the direct sum's pairs of
     nonzero terms outnumber the butterflies' n * 2**n additions: measured
     on Fractions it wins from order 3 (0.05 against 0.38 ms) and loses at
-    order 2.  Zero-free operands of real scalars at orders 4..8, floats
-    among them, take the gather tables; other values (complex ones, say)
-    need not give x * (-y) == -(x * y) in every bit, so they stay direct.
+    order 2.  Zero-free operands of real scalars, floats among them, take
+    the gather tables at orders 4 and 5 and, when every value is finite,
+    the spectrum from order 6, where it is the faster (0.17-0.22 against
+    0.33-0.40 ms at order 6, 0.7-1.2 against 4.6-6.7 ms at order 8).
+    Other values (complex ones, say) need not give x * (-y) == -(x * y) in
+    every bit, and an inf or nan has no exact value, so they stay direct.
     The counts come first, so a scalar or unit on either side stays direct
     after counting zeros.
     """
@@ -266,13 +286,18 @@ def _route(a: tuple, b: tuple, order: int):
     types = set(map(type, a)).union(map(type, b))
     if types <= _RATIONAL_TYPES:
         return _spectral_product
-    if nonzero_a == nonzero_b == size and order in GATHER_ORDERS and types <= _REAL_TYPES:
-        return _gathered_product
+    if nonzero_a == nonzero_b == size and types <= _REAL_TYPES:
+        if order in GATHER_ORDERS:
+            return _gathered_product
+        if order > GATHER_ORDERS[-1] and _finite(a) and _finite(b):
+            return _spectral_product
     return _direct_product
 
 
 def _spectral_product(a: tuple, b: tuple, order: int) -> tuple:
-    """Componentwise on the integer spectra, then back: O(n * 2**n)."""
+    """Componentwise on the integer spectra, then back: O(n * 2**n).  With
+    a float among the operands each coefficient is the exact one rounded
+    once; where one overflows, the product is the direct sum."""
     da, u = _integer_spectrum(a, order)
     db, v = _integer_spectrum(b, order)
     top = 1 << (order - 1)
@@ -280,7 +305,10 @@ def _spectral_product(a: tuple, b: tuple, order: int) -> tuple:
         ar, ai, br, bi = u[s], u[s + top], v[s], v[s + top]
         u[s] = ar * br - ai * bi
         u[s + top] = ar * bi + ai * br
-    return _from_integer_spectrum(u, order, da * db)
+    try:
+        return _from_integer_spectrum(u, order, da * db, _has_float(a) or _has_float(b))
+    except OverflowError:
+        return _direct_product(a, b, order)
 
 
 def _direct_product(a: tuple, b: tuple, order: int) -> tuple:
@@ -319,10 +347,10 @@ def _gathered_product(a: tuple, b: tuple, order: int) -> tuple:
 # with sign (-1)**parity(s & (s ^ k)), so the gather of output k at order n
 # picks entry (s ^ k) + 2**n * parity(s & (s ^ k)) of b + (-b) for s = 0 ..
 # 2**n - 1.  The entries are taken from one pool of ints, so the tables
-# share them.  Orders 4..8 hold 0.75 MB, most of it at order 8, and an
-# order's table is built on the first product that needs it.
+# share them.  Orders 4 and 5 hold about 15 kB, and an order's table is
+# built on the first product that needs it.
 
-GATHER_ORDERS = range(4, 9)  # order 3 breaks even; order 9 would hold 4**9 entries
+GATHER_ORDERS = range(4, 6)  # order 3 breaks even; from order 6 the spectrum wins
 _INDEX_POOL = tuple(range(2 << GATHER_ORDERS[-1]))
 
 
@@ -407,15 +435,45 @@ def _unbutterfly(v: list, order: int, half=None) -> list:
 
 
 def _integer_spectrum(coeffs, order: int) -> tuple:
-    """(d, v): v the butterfly of d times the exact coefficients, all ints."""
-    d, ints = common_denominator(coeffs)
+    """(d, v): v the butterfly of d times the coefficients, all ints; a
+    float enters as the rational it is."""
+    if set(map(type, coeffs)) == _FLOAT_TYPE:
+        d, ints = _scaled_floats(coeffs)
+    else:
+        d, ints = common_denominator(coeffs)
     return d, _butterfly(ints, order)
 
 
-def _from_integer_spectrum(v: list, order: int, d: int) -> tuple:
+def _scaled_floats(values) -> tuple:
+    """(d, [d * x for x in values]) for finite floats, d a power of two, in
+    a third of the time of :func:`common_denominator`.  A nonzero float x
+    is an integer times 2**(e - 53), e the exponent ``frexp`` gives, and e
+    is least at the least |x|; so 2**(53 - e) times each float is an
+    integer, and the product by that power of two is exact wherever it is
+    finite.  Where it is not (exponents more than about 970 apart), or
+    where a value is zero, the common denominator."""
+    least = min(map(abs, values))
+    if least:
+        k = max(0, 53 - frexp(least)[1])
+        try:
+            scale = 2.0**k
+            return 1 << k, list(map(int, map(scale.__mul__, values)))
+        except OverflowError:  # 2.0**k, or int() of an inf
+            pass
+    return common_denominator(values)
+
+
+def _from_integer_spectrum(v: list, order: int, d: int, rounded: bool = False) -> tuple:
     """The coefficients whose :func:`_integer_spectrum` for d is v: ints
-    where they are whole, Fractions elsewhere."""
-    return _quotients(_unbutterfly(v, order), d << (order - 1))
+    where they are whole, Fractions elsewhere, or, when ``rounded``, each
+    the float nearest to it by one int true division, which CPython rounds
+    correctly (ties to even) and which raises OverflowError past the
+    largest float."""
+    ints = _unbutterfly(v, order)
+    d <<= order - 1
+    if rounded:
+        return tuple([x / d for x in ints])
+    return _quotients(ints, d)
 
 
 def _quotients(ints, d: int) -> tuple:
@@ -450,6 +508,16 @@ def _spectrum_list(pairs, order: int) -> list:
 
 _RATIONAL_TYPES = frozenset((int, Fraction))
 _REAL_TYPES = frozenset((int, Fraction, float))
+_FLOAT_TYPE = frozenset((float,))
+
+
+def _has_float(values) -> bool:
+    return float in map(type, values)
+
+
+def _finite(values) -> bool:
+    """No inf or nan among the floats of ``values``."""
+    return all(isfinite(x) for x in values if x.__class__ is float)
 
 
 def _rational(values) -> bool:

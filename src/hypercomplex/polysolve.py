@@ -142,6 +142,12 @@ def complex_roots(coeffs: Sequence) -> list[complex]:
     if len(cs) == 2:
         roots.append(-cs[0] / cs[1])
     elif len(cs) > 2:
+        # the finders iterate on p / a_n, which no finder can use once it overflows
+        if not all(cmath.isfinite(c / cs[-1]) for c in cs):
+            raise NoConvergence(
+                f"monic coefficients overflow: leading coefficient {abs(cs[-1]):.3e} "
+                f"against {scale:.3e}"
+            )
         for finder in (_aberth, _companion_roots):
             found = finder(cs)
             bad = [res for res in (abs(evaluate(cs, r)) for r in found) if not res <= tol]

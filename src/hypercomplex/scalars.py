@@ -22,7 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Union
 
 Scalar = Union[int, Fraction, float]
@@ -66,8 +66,9 @@ def is_real_scalar(value) -> bool:
 HALF = Fraction(1, 2)  # Fraction * float -> float, so this is backend-neutral
 
 
-def binary_power(base, n: int, one):
-    """``one * base**n`` by square-and-multiply, for an integer n >= 0.
+def binary_power(base, n: int, one, product=mul):
+    """``one * base**n`` by square-and-multiply, for an integer n >= 0, each
+    product taken by ``product``.
 
     Takes one product per set bit of n and one squaring per bit below the
     top one, so ``base**2`` costs two products (``one * base``, then the
@@ -76,11 +77,11 @@ def binary_power(base, n: int, one):
     out = one
     while True:
         if n & 1:
-            out = out * base
+            out = product(out, base)
         n >>= 1
         if not n:
             return out
-        base = base * base
+        base = product(base, base)
 
 
 class Element:
@@ -320,10 +321,13 @@ def format_scalar(value) -> str:
 
 
 def common_denominator(values) -> tuple:
-    """(d, [d * x for x in values]) for exact values, d their least common
-    denominator, so the list holds ints."""
-    d = math.lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
+    """(d, [d * x for x in values]) for ints, Fractions and finite floats,
+    d the least common denominator of the rationals that
+    ``as_integer_ratio`` gives, so the list holds ints.  The lcm runs over
+    the distinct denominators, a few even for hundreds of values."""
+    ratios = [x.as_integer_ratio() for x in values]
+    d = math.lcm(*{q for _, q in ratios})
+    return d, [p * (d // q) for p, q in ratios]
 
 
 def scalar_norm(values) -> float:

@@ -8,6 +8,7 @@ elimination -- and never calls the code paths under test.
 
 import cmath
 import math
+import struct
 from fractions import Fraction
 
 from hypercomplex.scalars import RationalComplex
@@ -82,6 +83,57 @@ def subset_rule_product(a, b, n: int):
             sign, mask = commuting_word_product(s, t, n)
             out[mask] = out[mask] + sign * x * y
     return out
+
+
+def scaled_ints(values):
+    """(d, [d * x for x in values]) with d the least common denominator of
+    the values taken as Fractions (a float is the dyadic rational it
+    holds), so the list holds ints."""
+    fractions = [Fraction(x) for x in values]
+    d = math.lcm(*(f.denominator for f in fractions))
+    return d, [f.numerator * (d // f.denominator) for f in fractions]
+
+
+def exact_product(a, b, n: int) -> list:
+    """The exact product of two order-n coefficient lists of ints,
+    Fractions and finite floats, as Fractions: :func:`subset_rule_product`
+    on the ints d * a and e * b, over d * e."""
+    d, ints_a = scaled_ints(a)
+    e, ints_b = scaled_ints(b)
+    return [Fraction(x, d * e) for x in subset_rule_product(ints_a, ints_b, n)]
+
+
+# Halfway between the largest float and 2**1024, where rounding to nearest
+# (ties to even; the largest float's significand is odd) reaches inf.
+OVERFLOW_THRESHOLD = Fraction(2**1024 - 2**970)
+
+
+def rounds_to_inf(exact) -> bool:
+    return abs(exact) >= OVERFLOW_THRESHOLD
+
+
+def is_rounded_once(value, exact) -> bool:
+    """``value`` is the float nearest to the Fraction ``exact``, ties to
+    even: neither ``math.nextafter`` neighbour lies closer, and at a tie
+    the last bit of value's significand is 0.  Past the largest float the
+    neighbour is 2**1024, where rounding overflows."""
+    if not math.isfinite(value):
+        return False
+    error = abs(Fraction(value) - exact)
+    for toward in (math.inf, -math.inf):
+        neighbour = math.nextafter(value, toward)
+        if math.isinf(neighbour):
+            other = Fraction(2**1024 if toward > 0 else -(2**1024))
+        else:
+            other = Fraction(neighbour)
+        distance = abs(other - exact)
+        if distance < error or (distance == error and _odd_significand(value)):
+            return False
+    return True
+
+
+def _odd_significand(value) -> bool:
+    return struct.unpack("<Q", struct.pack("<d", value))[0] & 1 == 1
 
 
 _POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))

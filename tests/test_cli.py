@@ -4,6 +4,7 @@ import io
 import json
 import pkgutil
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -234,6 +235,16 @@ class TestPoly:
         code, out, err = run("poly", "solve", "--algebra", "bicomplex", "--coeffs", str(coeffs))
         assert (code, out) == (1, "")
         assert err == "error: recombined root fails substitution: residual nan > 1.000e+191\n"
+
+    def test_overflowing_monic_coefficients_exit_one_without_a_warning(self, tmp_path):
+        # 1e300 / 1e-300 overflows; numpy's companion matrix would warn and fail
+        coeffs = tmp_path / "coeffs.txt"
+        coeffs.write_text("1\n1e300\n1e-300\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("poly", "solve", "--algebra", "bicomplex", "--coeffs", str(coeffs))
+        assert (code, out) == (1, "")
+        assert err == "error: monic coefficients overflow: leading coefficient 1.000e-300 against 1.000e+300\n"
 
     @pytest.mark.parametrize("algebra, pad", [("bicomplex", ""), ("mc:2", ",0,0,0")])
     @pytest.mark.parametrize("rows", [("1", "1e309", "1"), ("1e309", "1")], ids=["quadratic", "linear"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,13 @@ from hypercomplex.scalars import RationalComplex
 from oracles import (
     cmul,
     commuting_word_product,
+    exact_product,
+    is_rounded_once,
     multicomplex_character,
     recursive_split,
     recursive_unsplit,
+    rounds_to_inf,
+    scaled_ints,
     subset_rule_product,
 )
 from strategies import bicomplexes, multicomplexes, small_fractions, small_ints
@@ -206,23 +211,26 @@ class TestFloatBits:
 
 
 class TestGatheredProduct:
-    """Dense zero-free products at orders 4..8 run the direct sum's additions
-    through the gather tables; they must give its bits, and every other
-    product must keep its route."""
+    """Dense zero-free products of real scalars, floats among them: at
+    orders 4 and 5 the gather tables run the direct sum's additions and
+    must give its bits; from order 6 the integer spectrum must give each
+    coefficient the exact value rounded once; every other product must
+    keep its route."""
 
     SPECIAL = (
         5e-324, -5e-324, 2.5e-310, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan,
         3, -2, Fraction(-2, 3), Fraction(7, 5),
     )
+    FINITE = tuple(x for x in SPECIAL if math.isfinite(x))
 
     @classmethod
-    def dense(cls, rng, order, special_share):
+    def dense(cls, rng, order, special_share, special=SPECIAL):
         return Multicomplex(order, tuple(
-            rng.choice(cls.SPECIAL) if rng.random() < special_share else rng.uniform(-2.0, 2.0)
+            rng.choice(special) if rng.random() < special_share else rng.uniform(-2.0, 2.0)
             for _ in range(1 << order)
         ))
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_tables_match_the_word_reduction(self, order):
         size = 1 << order
         indices = tuple(range(2 * size))
@@ -235,30 +243,84 @@ class TestGatheredProduct:
 
     @pytest.mark.parametrize("order,kernel", [
         (3, "_direct_product"), (4, "_gathered_product"), (5, "_gathered_product"),
-        (6, "_gathered_product"), (7, "_gathered_product"), (8, "_gathered_product"),
-        (9, "_direct_product"),
+        (6, "_spectral_product"), (7, "_spectral_product"), (8, "_spectral_product"),
+        (9, "_spectral_product"),
     ])
     def test_products_and_powers_match_the_oracle(self, order, kernel):
         rng = random.Random(4000 + order)
-        pairs = 6 if order <= 6 else 1
-        for j in range(pairs):
+        if kernel == "_spectral_product":
+            self.check_rounded_once(rng, order)
+            return
+        for j in range(6):
             share = (0.0, 0.05, 0.3)[j % 3]
             a, b = self.dense(rng, order, share), self.dense(rng, order, share)
             assert multicomplex._route(a.coeffs, b.coeffs, order).__name__ == kernel
             want = repr(tuple(subset_rule_product(a.coeffs, b.coeffs, order)))
             assert repr((a * b).coeffs) == want
             assert repr(multicomplex.product(a.coeffs, b.coeffs, order)) == want
-            if order <= 8:
-                assert repr((b * a).coeffs) == repr(tuple(subset_rule_product(b.coeffs, a.coeffs, order)))
-        if order > 8:
-            return
+            assert repr((b * a).coeffs) == repr(tuple(subset_rule_product(b.coeffs, a.coeffs, order)))
         # binary_power: a**2 is one * (a * a), a**3 is (one * a) * (a * a)
         one = [1] + [0] * ((1 << order) - 1)
         square = subset_rule_product(a.coeffs, a.coeffs, order)
         assert repr((a**2).coeffs) == repr(tuple(subset_rule_product(one, square, order)))
-        if order <= 6:
-            first = subset_rule_product(one, a.coeffs, order)
-            assert repr((a**3).coeffs) == repr(tuple(subset_rule_product(first, square, order)))
+        first = subset_rule_product(one, a.coeffs, order)
+        assert repr((a**3).coeffs) == repr(tuple(subset_rule_product(first, square, order)))
+
+    def check_rounded_once(self, rng, order):
+        """Finite values only: an exact coefficient past the float range
+        sends the product, or the power, to the direct sum."""
+        for j in range(6 if order <= 6 else 1):
+            share = (0.0, 0.05, 0.3)[j % 3]
+            a, b = self.dense(rng, order, share, self.FINITE), self.dense(rng, order, share, self.FINITE)
+            assert multicomplex._route(a.coeffs, b.coeffs, order) is multicomplex._spectral_product
+            got = (a * b).coeffs
+            assert repr(multicomplex.product(a.coeffs, b.coeffs, order)) == repr(got)
+            if self.assert_rounded_once(
+                got, exact_product(a.coeffs, b.coeffs, order),
+                lambda: subset_rule_product(a.coeffs, b.coeffs, order),
+            ):
+                assert repr((b * a).coeffs) == repr(got)
+        if order > 8:
+            return
+        one = [1] + [0] * ((1 << order) - 1)
+        square = exact_product(a.coeffs, a.coeffs, order)
+        self.assert_rounded_once(
+            (a**2).coeffs, square,
+            lambda: subset_rule_product(one, subset_rule_product(a.coeffs, a.coeffs, order), order),
+        )
+        self.assert_rounded_once(
+            (a**3).coeffs, exact_product(square, a.coeffs, order),
+            lambda: subset_rule_product(
+                subset_rule_product(one, a.coeffs, order),
+                subset_rule_product(a.coeffs, a.coeffs, order), order,
+            ),
+        )
+
+    @staticmethod
+    def assert_rounded_once(got, exact, direct) -> bool:
+        """Each coefficient the exact one rounded once, or, where one would
+        overflow, the direct sum's bits; True in the first case."""
+        assert all(type(x) is float for x in got)
+        if any(map(rounds_to_inf, exact)):
+            assert repr(got) == repr(tuple(direct()))
+            return False
+        assert all(map(is_rounded_once, got, exact))
+        return True
+
+    @pytest.mark.parametrize("order", [6, 7, 8, 9])
+    def test_inf_or_nan_takes_the_direct_sum(self, order):
+        rng = random.Random(4050 + order)
+        b = self.dense(rng, order, 0.0)
+        assert multicomplex._route(b.coeffs, b.coeffs, order) is multicomplex._spectral_product
+        for value in (math.inf, -math.inf, math.nan):
+            coeffs = list(self.dense(rng, order, 0.1, self.FINITE).coeffs)
+            coeffs[rng.randrange(len(coeffs))] = value
+            c = Multicomplex(order, tuple(coeffs))
+            for x, y in ((c, b), (b, c), (c, c)):
+                assert multicomplex._route(x.coeffs, y.coeffs, order) is multicomplex._direct_product
+            if order <= 7:
+                want = repr(tuple(subset_rule_product(c.coeffs, b.coeffs, order)))
+                assert repr((c * b).coeffs) == want
 
     def test_products_that_overflow_give_the_direct_sums_inf_and_nan(self):
         a = Multicomplex(4, (1.7e308,) * 8 + (-1.7e308,) * 8)
@@ -266,6 +328,62 @@ class TestGatheredProduct:
         got = (a * b).coeffs
         assert repr(got) == repr(tuple(subset_rule_product(a.coeffs, b.coeffs, 4)))
         assert any(math.isinf(x) for x in got) and any(math.isnan(x) for x in got)
+
+    @pytest.mark.parametrize("order", [6, 7])
+    def test_overflow_from_order_six_gives_the_direct_sum(self, order):
+        half = 1 << (order - 1)
+        a = Multicomplex(order, (1.7e308,) * half + (-1.7e308,) * half)
+        b = Multicomplex(order, (1.5,) * (2 * half))
+        assert multicomplex._route(a.coeffs, b.coeffs, order) is multicomplex._spectral_product
+        got = (a * b).coeffs
+        assert repr(got) == repr(tuple(subset_rule_product(a.coeffs, b.coeffs, order)))
+        assert any(math.isinf(x) for x in got) and any(math.isnan(x) for x in got)
+        # the power falls back to square-and-multiply over the direct sum
+        one = [1] + [0] * (2 * half - 1)
+        square = subset_rule_product(one, subset_rule_product(a.coeffs, a.coeffs, order), order)
+        assert repr((a**2).coeffs) == repr(tuple(square))
+        # an int past the float range meets a float in the direct sum
+        huge = Multicomplex(order, (10**400,) + b.coeffs[1:])
+        with pytest.raises(OverflowError):
+            huge * b
+        with pytest.raises(OverflowError):
+            subset_rule_product(huge.coeffs, b.coeffs, order)
+
+    def test_an_int_past_the_float_range_times_small_floats_is_rounded_once(self):
+        """The direct sum would raise converting 10**400 to a float; the
+        exact product lies in range."""
+        a = Multicomplex(6, (10**400,) + (0.5,) * 63)
+        b = Multicomplex(6, (1e-300,) * 64)
+        assert all(map(is_rounded_once, (a * b).coeffs, exact_product(a.coeffs, b.coeffs, 6)))
+
+    def test_ties_go_to_even(self):
+        """Output 0 of a * b, b all ones, is the sum of (-1)**|s| * a[s].
+        Put the exact sum halfway between two floats: 1 + 2**-53 (between 1
+        and 1 + 2**-52) goes down to 1, 1 + 3 * 2**-53 goes up to 1 +
+        2**-51, whose significands are even."""
+        size = 1 << 6
+        b = Multicomplex(6, (1.0,) * size)
+        for excess, want in ((2**-53, 1.0), (3 * 2**-53, 1 + 2**-51)):
+            # a[s] contributes (-1)**|s| * a[s]: 1 at s = 0, excess + 62 *
+            # 2**-70 at s = 1 and -2**-70 at the other 62 indices
+            coeffs = [1.0, -(excess + 62 * 2**-70)]
+            coeffs += [-(2**-70) if (s.bit_count() & 1) == 0 else 2**-70 for s in range(2, size)]
+            a = Multicomplex(6, tuple(coeffs))
+            assert exact_product(a.coeffs, b.coeffs, 6)[0] == 1 + Fraction(excess)
+            assert (a * b).coeffs[0] == want
+
+    def test_subnormal_operands_are_rounded_once(self):
+        rng = random.Random(4400)
+        for order in (6, 7):
+            for tiny in (5e-324, 2.5e-310):
+                a = Multicomplex(order, tuple(
+                    rng.choice((tiny, -tiny, 3 * tiny)) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+                    for _ in range(1 << order)
+                ))
+                b = self.dense(rng, order, 0.2, (5e-324, 2.5e-310, -1e-300))
+                got = (a * b).coeffs
+                assert repr((b * a).coeffs) == repr(got)
+                assert all(map(is_rounded_once, got, exact_product(a.coeffs, b.coeffs, order)))
 
     def test_one_zero_coefficient_takes_the_direct_sum(self):
         rng = random.Random(4100)
@@ -292,6 +410,74 @@ class TestGatheredProduct:
             a = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(1 << order))
             b = tuple(rng.randint(1, 9) for _ in range(1 << order))
             assert multicomplex._route(a, b, order) is multicomplex._spectral_product
+            assert all(type(x) is not float for x in multicomplex.product(a, b, order))
+
+
+def nonzero_floats(low, high):
+    """Floats of magnitude in [low, high], either sign."""
+    magnitude = st.floats(min_value=low, max_value=high)
+    return st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+
+
+def dense_floats(order, low, high):
+    size = 1 << order
+    return st.lists(nonzero_floats(low, high), min_size=size, max_size=size).map(
+        lambda values: Multicomplex(order, tuple(values))
+    )
+
+
+class TestCorrectRounding:
+    """Properties that hold bit for bit because each coefficient of a dense
+    float product from order 6 is the exact value rounded once.  Each runs
+    30 hypothesis examples at orders 6 and 7."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), order=st.sampled_from([6, 7]))
+    def test_commutative_bit_for_bit(self, data, order):
+        """Magnitudes from the least subnormal to 1e150: no sum of 2**order
+        products reaches the largest float."""
+        a = data.draw(dense_floats(order, 5e-324, 1e150))
+        b = data.draw(dense_floats(order, 5e-324, 1e150))
+        assert repr((a * b).coeffs) == repr((b * a).coeffs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(), order=st.sampled_from([6, 7]),
+        s=st.integers(-400, 400), t=st.integers(-400, 400),
+    )
+    def test_scaling_by_powers_of_two_commutes_with_the_product(self, data, order, s, t):
+        """(2**s a)(2**t b) == 2**(s+t) (ab).  With magnitudes in [2**-40,
+        2**40] and |s|, |t| <= 400 no coefficient overflows or goes
+        subnormal: a nonzero exact coefficient of the scaled product is a
+        multiple of 2**(-2 * 93 - 800) > 2**-1022 and below 2**(2 * 40 + 7
+        + 800) < 2**1024."""
+        a = data.draw(dense_floats(order, 2.0**-40, 2.0**40))
+        b = data.draw(dense_floats(order, 2.0**-40, 2.0**40))
+        scaled_a = Multicomplex(order, tuple(math.ldexp(x, s) for x in a.coeffs))
+        scaled_b = Multicomplex(order, tuple(math.ldexp(x, t) for x in b.coeffs))
+        want = tuple(math.ldexp(x, s + t) for x in (a * b).coeffs)
+        assert repr((scaled_a * scaled_b).coeffs) == repr(want)
+
+    def test_an_order_sixteen_product_within_five_seconds(self):
+        """About 0.5 s on a 2-core VM; the direct sum's 4**16 terms would
+        take hours.  Outputs 0 and 2**16 - 1 are checked against the exact
+        sums of the subset rule."""
+        order, size = 16, 1 << 16
+        rng = random.Random(4500)
+        a = tuple(rng.uniform(-2.0, 2.0) for _ in range(size))
+        b = tuple(rng.uniform(-2.0, 2.0) for _ in range(size))
+        start = time.perf_counter()
+        got = multicomplex.product(a, b, order)
+        assert time.perf_counter() - start < 5.0
+        d, ints_a = scaled_ints(a)
+        e, ints_b = scaled_ints(b)
+        for k in (0, size - 1):
+            total = 0
+            for s in range(size):
+                sign, mask = commuting_word_product(s, s ^ k, order)
+                assert mask == k
+                total += sign * ints_a[s] * ints_b[s ^ k]
+            assert is_rounded_once(got[k], Fraction(total, d * e))
 
 
 kernel_exact = st.one_of(small_fractions, small_ints)
